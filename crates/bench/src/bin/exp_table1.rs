@@ -65,7 +65,7 @@ fn main() {
     //
     // Default routing: the exact engine — this protocol's timer states make
     // almost every pair non-null, so there is little for the batched engine
-    // to skip (it would run on its dense fallback backend).
+    // to skip (it would run on present-set rows, with no sparse partners).
     // ------------------------------------------------------------------
     let engine = engine_from_args(Engine::Exact);
     let ns = [32usize, 64, 128, 256, 512];

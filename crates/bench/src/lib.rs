@@ -467,9 +467,10 @@ pub fn optimal_silent_times(n: usize, workload: Workload, trials: usize, seed: u
 /// engine.
 ///
 /// This protocol's unsettled/resetting states interact with everything, so
-/// the batched engine runs on its dense present-scan backend: correct, and
-/// worthwhile only on configurations that idle near silence. The exact engine
-/// is the sensible default for whole-stabilization measurements.
+/// the count engine runs it on present-set rows (no sparse partners): O(P)
+/// per non-null transition, but with little to skip outside configurations
+/// that idle near silence. The exact engine is the default for
+/// whole-stabilization measurements.
 pub fn optimal_silent_times_with_engine(
     n: usize,
     workload: Workload,

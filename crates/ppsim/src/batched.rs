@@ -27,21 +27,21 @@
 //! verdicts and distributions rather than bit-identical traces.
 //!
 //! Protocols opt in by implementing [`EnumerableProtocol`] (a bijection
-//! between their state type and `0..num_states`). Protocols with sparse
-//! non-null structure (`Silent-n-state-SSR`, epidemic, fratricide, coupon)
-//! also provide [`EnumerableProtocol::interaction_partners`], unlocking a
-//! Fenwick-tree backend with O(deg · log |states|) work per non-null
-//! interaction; dense protocols (`Optimal-Silent-SSR`, whose
-//! unsettled/resetting states interact with everything) fall back to a
-//! present-state scan that costs O(P²) per non-null interaction with `P ≤ n`
-//! distinct present states.
+//! between their state type and `0..num_states`) and run on
+//! [`BatchedSimulation`]: the one count engine ([`crate::count`]) keyed by
+//! that static enumeration. Protocols with sparse non-null structure
+//! (`Silent-n-state-SSR`, epidemic, fratricide, coupon) also provide
+//! [`EnumerableProtocol::interaction_partners`], which selects partner rows
+//! with O(deg · log |states|) work per non-null interaction; dense protocols
+//! (`Optimal-Silent-SSR`, whose unsettled/resetting states interact with
+//! everything) get present-set rows, repaired incrementally in O(P) nullness
+//! queries per non-null interaction with `P ≤ n` distinct present states.
 //!
 //! Protocols whose state space cannot be enumerated up front — the name ×
 //! roster × history-tree states of `Sublinear-Time-SSR`, the roster states
-//! of the roll-call process — use the third batched backend instead: the
-//! dynamically **interned** engine of [`crate::interned`], which assigns
-//! dense indices to states as they are first observed and grows its tables
-//! on demand ([`crate::InternableProtocol`] /
+//! of the roll-call process — run on the same engine under the growable key
+//! policy of [`crate::interned`], which assigns dense indices to states as
+//! they are first observed ([`crate::InternableProtocol`] /
 //! [`crate::InternedSimulation`]). [`Engine`] is the routing layer for all
 //! of them, and `ARCHITECTURE.md` at the repository root draws the decision
 //! tree.
@@ -99,18 +99,16 @@
 //! assert_eq!(sim.count_of(&0u8), 1); // a single leader survives
 //! ```
 
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::RngCore;
 
 use crate::config::Configuration;
+use crate::count::{CountSimulation, PartnerLists, StateKeys};
 use crate::error::SimError;
-use crate::execution::{RunOutcome, Simulation, StopReason};
+use crate::execution::{RunOutcome, Simulation};
+use crate::interned::{InternableProtocol, InternedKeys};
 use crate::protocol::Protocol;
-use crate::sampling::{sample_hypergeometric, sample_interleaved_nulls, sample_victims_by_counts};
-use crate::scheduler::{IndexRates, InteractionScheduler};
 use crate::symmetry::StateSymmetry;
-use crate::telemetry::{Counter, CounterBlock, Probe, Recorder, TelemetrySink};
-use crate::time::{Interactions, ParallelTime};
+use crate::time::ParallelTime;
 
 /// A [`Protocol`] with a finite, enumerable state space: a bijection between
 /// the state type and `0..num_states`.
@@ -139,12 +137,13 @@ pub trait EnumerableProtocol: Protocol {
     /// can be non-null (for *some* counts — the answer must not depend on the
     /// current configuration). Include `i` itself when `(i, i)` is non-null.
     ///
-    /// Returning `Some` for one index means `Some` for all indices; the
-    /// engine then uses the indexed (Fenwick) backend with per-transition
-    /// cost proportional to the partner-list degree. The default `None`
-    /// selects the dense present-scan backend, which is always correct but
-    /// pays O(P²) per non-null interaction in the number of distinct present
-    /// states.
+    /// Returning `Some` for one index means `Some` for all indices (the
+    /// constructors reject a partial declaration with
+    /// [`SimError::PartialInteractionPartners`]); the engine then uses
+    /// partner rows, with per-transition cost proportional to the
+    /// partner-list degree. The default `None` selects present-set rows,
+    /// which are always correct and pay O(P) nullness queries per non-null
+    /// interaction in the number of distinct present states.
     fn interaction_partners(&self, _index: usize) -> Option<Vec<usize>> {
         None
     }
@@ -160,64 +159,6 @@ pub trait EnumerableProtocol: Protocol {
     /// default is [`StateSymmetry::Identity`], which is always sound.
     fn state_symmetry(&self) -> StateSymmetry {
         StateSymmetry::Identity
-    }
-}
-
-/// Wraps an [`EnumerableProtocol`], dropping its sparse partner structure so
-/// the batched engine selects the dense present-scan backend regardless of
-/// what the inner protocol declares.
-///
-/// The two backends simulate the same Markov chain, so any observable
-/// difference between `P` and `ForceDense<P>` — non-null pair weight,
-/// silence verdict, final multiset distribution — is an engine bug. The
-/// cross-backend equivalence suites run matching configurations through
-/// both and compare.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ForceDense<P>(pub P);
-
-impl<P: Protocol> Protocol for ForceDense<P> {
-    type State = P::State;
-
-    fn population_size(&self) -> usize {
-        self.0.population_size()
-    }
-
-    fn transition(
-        &self,
-        initiator: &Self::State,
-        responder: &Self::State,
-        rng: &mut dyn RngCore,
-    ) -> (Self::State, Self::State) {
-        self.0.transition(initiator, responder, rng)
-    }
-
-    fn is_null(&self, initiator: &Self::State, responder: &Self::State) -> bool {
-        self.0.is_null(initiator, responder)
-    }
-
-    fn deterministic_transitions(&self) -> bool {
-        self.0.deterministic_transitions()
-    }
-}
-
-impl<P: EnumerableProtocol> EnumerableProtocol for ForceDense<P> {
-    fn num_states(&self) -> usize {
-        self.0.num_states()
-    }
-
-    fn state_index(&self, state: &Self::State) -> usize {
-        self.0.state_index(state)
-    }
-
-    fn state_from_index(&self, index: usize) -> Self::State {
-        self.0.state_from_index(index)
-    }
-
-    // interaction_partners deliberately left at the default `None`: that is
-    // the whole point of the wrapper.
-
-    fn state_symmetry(&self) -> StateSymmetry {
-        self.0.state_symmetry()
     }
 }
 
@@ -256,122 +197,8 @@ pub fn sample_null_run(active_pairs: u64, total_pairs: u64, rng: &mut impl RngCo
     }
 }
 
-/// A 1-based Fenwick (binary indexed) tree over `u64` weights with prefix
-/// search, used to sample the initiator state proportionally to its row
-/// weight.
-#[derive(Clone, Debug)]
-struct Fenwick {
-    tree: Vec<u64>,
-    mask: usize,
-    total: u64,
-}
-
-impl Fenwick {
-    fn new(len: usize) -> Self {
-        let mut mask = 1usize;
-        while mask * 2 <= len {
-            mask *= 2;
-        }
-        Fenwick { tree: vec![0; len + 1], mask, total: 0 }
-    }
-
-    fn len(&self) -> usize {
-        self.tree.len() - 1
-    }
-
-    fn add(&mut self, index: usize, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        self.total = (self.total as i128 + delta as i128) as u64;
-        let mut i = index + 1;
-        while i <= self.len() {
-            self.tree[i] = (self.tree[i] as i128 + delta as i128) as u64;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Splits a without-replacement batch of `draws` interaction slots across
-    /// the tree's leaves: jointly, the leaf shares follow the multivariate
-    /// hypergeometric law over the current leaf weights. Implemented by
-    /// recursive conditional [`sample_hypergeometric`] splits down the
-    /// implicit binary structure, so the cost is O(k · log len) for the `k`
-    /// leaves that receive a nonzero share — independent of how many leaves
-    /// exist, which is what keeps epoch draws affordable when the state
-    /// space is as large as the population (`Silent-n-state-SSR`).
-    ///
-    /// Calls `sink(leaf, share)` once per leaf with a nonzero share, in
-    /// ascending leaf order. Requires `draws <= total()`.
-    fn split_batch(&self, draws: u64, rng: &mut impl RngCore, sink: &mut impl FnMut(usize, u64)) {
-        debug_assert!(draws <= self.total);
-        self.split_range(0, 2 * self.mask, self.total, draws, rng, sink);
-    }
-
-    /// Recursive step of [`Fenwick::split_batch`] on the aligned range
-    /// `(pos, pos + step]` holding `weight` total and `draws` slots to place.
-    fn split_range(
-        &self,
-        pos: usize,
-        step: usize,
-        weight: u64,
-        draws: u64,
-        rng: &mut impl RngCore,
-        sink: &mut impl FnMut(usize, u64),
-    ) {
-        if draws == 0 {
-            return;
-        }
-        if step == 1 {
-            sink(pos, draws);
-            return;
-        }
-        let half = step / 2;
-        // `pos` is a multiple of `step`, so `pos + half` has lowest set bit
-        // exactly `half` and its tree entry stores the left child's range sum
-        // whenever it is in bounds; an out-of-bounds right child is entirely
-        // past the last leaf and holds no weight.
-        let left_w = if pos + half <= self.len() { self.tree[pos + half] } else { weight };
-        let left_d = sample_hypergeometric(weight, left_w, draws, rng);
-        self.split_range(pos, half, left_w, left_d, rng, sink);
-        self.split_range(pos + half, half, weight - left_w, draws - left_d, rng, sink);
-    }
-
-    /// The smallest index whose inclusive prefix sum exceeds `target`
-    /// (requires `target < total`).
-    fn find(&self, mut target: u64) -> usize {
-        debug_assert!(target < self.total);
-        let mut pos = 0usize;
-        let mut step = self.mask;
-        while step > 0 {
-            let next = pos + step;
-            if next <= self.len() && self.tree[next] <= target {
-                target -= self.tree[next];
-                pos = next;
-            }
-            step /= 2;
-        }
-        pos // 0-based index of the selected element
-    }
-}
-
-/// The backend data structure maintaining the non-null pair weight.
-#[derive(Clone, Debug)]
-enum Backend {
-    /// Sparse non-null structure: per-state partner lists plus a Fenwick tree
-    /// over row weights `r_i = c_i · Σ_j [(i,j) non-null] (c_j − [i = j])`.
-    Indexed { partners: Vec<Vec<usize>>, rows: Fenwick },
-    /// Dense fallback: the set of present states, scanned per transition.
-    PresentScan { present: Vec<usize>, position: Vec<usize> },
-}
-
-const NOT_PRESENT: usize = usize::MAX;
-
-/// How the count engines ([`BatchedSimulation`] and
-/// [`crate::InternedSimulation`]) draw the non-null interaction schedule.
+/// How the count engine ([`BatchedSimulation`] and
+/// [`crate::InternedSimulation`]) draws the non-null interaction schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SamplingMode {
     /// One geometric null-run skip plus one weighted pair draw per applied
@@ -388,1087 +215,85 @@ pub enum SamplingMode {
     /// approximation is purely *in schedule*: pair weights are frozen for
     /// the `B ≤ min(n/16, A/8)` transitions of an epoch, and interaction
     /// tables exceeding an agent's availability are truncated
-    /// ([`BatchedSimulation::batch_truncations`] counts how often). Epochs
+    /// ([`CountSimulation::batch_truncations`] counts how often). Epochs
     /// shrink automatically near silence, small populations, and budget or
     /// measurement-tick boundaries, where the engine degenerates to the
     /// per-transition path and is exact again.
     BatchCount,
 }
 
-/// A single execution of a population protocol under the uniformly random
-/// scheduler, simulated in batches of null interactions.
-///
-/// Mirrors [`Simulation`]'s stop conditions (`run_until_silent`, `run_for`,
-/// predicate runs) but stores only state counts; agent identities do not
-/// exist here, which is faithful to the model (protocols cannot observe
-/// them). Construct with [`BatchedSimulation::new`] and read results with
-/// [`BatchedSimulation::state_counts`] / [`BatchedSimulation::to_configuration`].
+/// The static key policy of [`BatchedSimulation`]: an
+/// [`EnumerableProtocol`]'s own enumeration, with every state decoded once
+/// when the table is built.
 #[derive(Clone, Debug)]
-pub struct BatchedSimulation<P: EnumerableProtocol> {
-    protocol: P,
-    counts: Vec<u64>,
+pub struct EnumeratedKeys<P: EnumerableProtocol> {
     decoded: Vec<P::State>,
-    backend: Backend,
-    rng: ChaCha8Rng,
-    interactions: Interactions,
-    transitions: u64,
-    n: usize,
-    mode: SamplingMode,
-    /// Resolved weighted-scheduler rates (`None` = the uniform scheduler;
-    /// the `None` path is byte-for-byte the pre-scheduler arithmetic, which
-    /// keeps uniform trajectories seed-stable across the layer).
-    rates: Option<IndexRates>,
-    /// The unified telemetry registry (see [`crate::telemetry`]): absorbs the
-    /// former ad-hoc `epochs` / `truncations` / `scheduler_fallbacks` fields.
-    /// Counters never touch the RNG, so the registry cannot perturb a
-    /// trajectory.
-    counters: CounterBlock,
-    /// Probe/span sink; [`TelemetrySink::Noop`] (free) unless a recorder is
-    /// attached.
-    telemetry: TelemetrySink,
-    /// Per-epoch agent availability, stamped with the epoch number so
-    /// clearing between epochs is free (lazily sized on first epoch).
-    scratch_avail: Vec<u64>,
-    scratch_stamp: Vec<u64>,
 }
 
-impl<P: EnumerableProtocol> BatchedSimulation<P> {
-    /// Creates a batched simulation from a protocol, an initial configuration
-    /// and an RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same setup errors as [`Simulation::new`]. Use
-    /// [`BatchedSimulation::try_new`] for a non-panicking constructor.
-    pub fn new(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
-        Self::try_new(protocol, config, seed).expect("invalid simulation setup")
-    }
+impl<P: EnumerableProtocol> StateKeys<P> for EnumeratedKeys<P> {
+    const ENGINE: &'static str = "batched";
+    const GROWS: bool = false;
 
-    /// Creates a batched simulation, validating the setup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ConfigurationSizeMismatch`] if the configuration
-    /// length differs from the protocol's population size, and
-    /// [`SimError::PopulationTooSmall`] if the population has fewer than two
-    /// agents.
-    pub fn try_new(
-        protocol: P,
-        config: &Configuration<P::State>,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        let n = protocol.population_size();
-        if config.len() != n {
-            return Err(SimError::ConfigurationSizeMismatch { expected: n, actual: config.len() });
-        }
-        if n < 2 {
-            return Err(SimError::PopulationTooSmall { n });
-        }
+    /// Decodes the whole enumeration and collects the partner lists: all of
+    /// them (partner rows) or none (present-set rows).
+    fn build(protocol: &P) -> Result<(Self, Option<PartnerLists>), SimError> {
         let num_states = protocol.num_states();
-        let decoded: Vec<P::State> =
-            (0..num_states).map(|i| protocol.state_from_index(i)).collect();
-        let mut counts = vec![0u64; num_states];
-        for state in config.iter() {
-            let index = protocol.state_index(state);
-            assert!(
-                index < num_states,
-                "state_index returned {index} for a space of {num_states} states"
-            );
-            counts[index] += 1;
+        let decoded = (0..num_states).map(|i| protocol.state_from_index(i)).collect();
+        let declared = num_states > 0 && protocol.interaction_partners(0).is_some();
+        let mut lists = Vec::with_capacity(if declared { num_states } else { 0 });
+        for index in 0..num_states {
+            match protocol.interaction_partners(index) {
+                Some(list) if declared => lists.push(list),
+                None if !declared => {}
+                _ => return Err(SimError::PartialInteractionPartners { index }),
+            }
         }
-        let backend = if protocol.interaction_partners(0).is_some() {
-            let partners: Vec<Vec<usize>> = (0..num_states)
-                .map(|i| {
-                    protocol
-                        .interaction_partners(i)
-                        .expect("interaction_partners must be Some for every index or none")
-                })
-                .collect();
-            Backend::Indexed { partners, rows: Fenwick::new(num_states) }
+        Ok((EnumeratedKeys { decoded }, declared.then_some(lists)))
+    }
+
+    fn capacity(&self) -> usize {
+        self.decoded.len()
+    }
+
+    fn assigned(&self) -> usize {
+        self.decoded.len()
+    }
+
+    fn key(&mut self, protocol: &P, state: &P::State) -> Result<usize, SimError> {
+        let index = protocol.state_index(state);
+        let num_states = self.decoded.len();
+        if index < num_states {
+            Ok(index)
         } else {
-            let mut present = Vec::new();
-            let mut position = vec![NOT_PRESENT; num_states];
-            for (i, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    position[i] = present.len();
-                    present.push(i);
-                }
-            }
-            Backend::PresentScan { present, position }
-        };
-        let mut sim = BatchedSimulation {
-            protocol,
-            counts,
-            decoded,
-            backend,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            interactions: Interactions::ZERO,
-            transitions: 0,
-            n,
-            mode: SamplingMode::default(),
-            rates: None,
-            counters: CounterBlock::default(),
-            telemetry: TelemetrySink::Noop,
-            scratch_avail: Vec::new(),
-            scratch_stamp: Vec::new(),
-        };
-        sim.rebuild_rows();
-        Ok(sim)
-    }
-
-    /// Creates a batched simulation under an explicit scheduling strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the setup errors [`BatchedSimulation::try_new_scheduled`]
-    /// reports.
-    pub fn new_scheduled(
-        protocol: P,
-        config: &Configuration<P::State>,
-        seed: u64,
-        scheduler: &InteractionScheduler<P::State>,
-    ) -> Self {
-        Self::try_new_scheduled(protocol, config, seed, scheduler)
-            .expect("invalid simulation setup")
-    }
-
-    /// Creates a batched simulation under an explicit scheduling strategy,
-    /// validating both the setup and the scheduler/engine compatibility.
-    ///
-    /// [`InteractionScheduler::Uniform`] is trajectory-preserving: it runs
-    /// the exact same code path (and RNG draws) as
-    /// [`BatchedSimulation::try_new`]. [`InteractionScheduler::WeightedPairs`]
-    /// reweighs the count-level pair measure by the resolved rates.
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`BatchedSimulation::try_new`]'s errors, returns
-    /// [`SimError::SchedulerNeedsIdentities`] for
-    /// [`InteractionScheduler::GraphRestricted`] (a graph measure depends on
-    /// which agent holds which state, and this engine erases identities) and
-    /// [`SimError::ZeroRateScheduler`] if every weighted rate is zero.
-    pub fn try_new_scheduled(
-        protocol: P,
-        config: &Configuration<P::State>,
-        seed: u64,
-        scheduler: &InteractionScheduler<P::State>,
-    ) -> Result<Self, SimError> {
-        if !scheduler.is_exchangeable() {
-            return Err(SimError::SchedulerNeedsIdentities {
-                scheduler: scheduler.label(),
-                engine: "batched",
-            });
-        }
-        let mut sim = Self::try_new(protocol, config, seed)?;
-        if let InteractionScheduler::WeightedPairs(rates) = scheduler {
-            if rates.max_rate() == 0 {
-                return Err(SimError::ZeroRateScheduler);
-            }
-            let resolved = IndexRates::resolve(rates, |s| sim.protocol.state_index(s));
-            sim.rates = Some(resolved);
-            sim.rebuild_rows();
-        }
-        Ok(sim)
-    }
-
-    /// Selects the sampling mode (builder style); the default is
-    /// [`SamplingMode::PerTransition`].
-    pub fn with_sampling_mode(mut self, mode: SamplingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The active sampling mode.
-    pub fn sampling_mode(&self) -> SamplingMode {
-        self.mode
-    }
-
-    /// The number of batch-count epochs drawn so far (always 0 in
-    /// per-transition mode) — the `engine.epochs_opened` telemetry counter.
-    pub fn batch_epochs(&self) -> u64 {
-        self.counters.get(Counter::EpochsOpened)
-    }
-
-    /// The number of drawn table interactions clamped away by the
-    /// collision-free availability cap, summed over all **committed** epochs
-    /// (a budget-overshooting epoch rolls its truncations back with its
-    /// transitions) — the `engine.batch_truncations` telemetry counter. The
-    /// ratio `batch_truncations / transitions` is the schedule-approximation
-    /// diagnostic the statistical suites pin down.
-    pub fn batch_truncations(&self) -> u64 {
-        self.counters.get(Counter::BatchTruncations)
-    }
-
-    /// How often a [`SamplingMode::BatchCount`] run fell back to
-    /// per-transition sampling because the scheduler is not uniform (the
-    /// epoch tables freeze an exchangeable pair measure, which a weighted
-    /// scheduler reshapes mid-epoch). Always 0 under the uniform scheduler.
-    /// The `engine.scheduler_fallbacks` telemetry counter.
-    pub fn scheduler_fallbacks(&self) -> u64 {
-        self.counters.get(Counter::SchedulerFallbacks)
-    }
-
-    /// A snapshot of the unified telemetry counter registry for this run
-    /// (see [`crate::telemetry`]), with the applied-transition count mirrored
-    /// into [`Counter::Transitions`].
-    pub fn counters(&self) -> CounterBlock {
-        let mut block = self.counters;
-        block.set(Counter::Transitions, self.transitions);
-        block
-    }
-
-    /// Adds `by` events to the registry (the drivers' accounting hook).
-    pub(crate) fn add_counter(&mut self, counter: Counter, by: u64) {
-        self.counters.add(counter, by);
-    }
-
-    /// Attaches a probe/span [`Recorder`]; until detached, the run loops
-    /// record log-spaced convergence checkpoints and epoch draw/apply spans.
-    pub fn attach_telemetry(&mut self, recorder: Recorder) {
-        self.telemetry.attach(recorder);
-    }
-
-    /// Detaches the recorder (if one is attached), restoring the zero-cost
-    /// no-op sink.
-    pub fn take_telemetry(&mut self) -> Option<Recorder> {
-        self.telemetry.take()
-    }
-
-    fn record_probe_now(&mut self) {
-        let probe = Probe {
-            interactions: self.interactions.count(),
-            active_pairs: self.active_pairs(),
-            distinct_states: self.distinct_states() as u64,
-            transitions: self.transitions,
-            population: self.n as u64,
-        };
-        self.telemetry.record_probe(probe);
-    }
-
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The population size.
-    pub fn population_size(&self) -> usize {
-        self.n
-    }
-
-    /// Total interactions executed so far (including skipped null runs).
-    pub fn interactions(&self) -> Interactions {
-        self.interactions
-    }
-
-    /// Total parallel time elapsed so far.
-    pub fn parallel_time(&self) -> ParallelTime {
-        self.interactions.to_parallel_time(self.n)
-    }
-
-    /// The number of non-null transitions actually applied — the work the
-    /// batched engine pays for, as opposed to the interactions it skips. The
-    /// ratio `interactions / transitions` is the engine's effective batching
-    /// factor.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// The multiset view: every present state with its count, in state-index
-    /// order.
-    pub fn state_counts(&self) -> impl Iterator<Item = (&P::State, u64)> {
-        self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (&self.decoded[i], c))
-    }
-
-    /// The number of agents currently holding `state`.
-    pub fn count_of(&self, state: &P::State) -> u64 {
-        self.counts[self.protocol.state_index(state)]
-    }
-
-    /// The number of distinct states present.
-    pub fn distinct_states(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Materializes a canonical per-agent configuration (states in
-    /// state-index order). Agent identities are arbitrary — the model's
-    /// agents are anonymous — so this is suitable for any permutation-
-    /// invariant predicate, which every protocol-level predicate is.
-    pub fn to_configuration(&self) -> Configuration<P::State> {
-        let mut states = Vec::with_capacity(self.n);
-        for (i, &c) in self.counts.iter().enumerate() {
-            for _ in 0..c {
-                states.push(self.decoded[i].clone());
-            }
-        }
-        Configuration::from_states(states)
-    }
-
-    /// The active pair weight of the current configuration: under the
-    /// uniform scheduler, the number of non-null ordered **agent** pairs
-    /// (the quantity `A` of the module docs); under a weighted scheduler,
-    /// the rate-weighted sum over those pairs, so rate-0 pairs contribute
-    /// nothing (scheduler-relative silence).
-    pub fn active_pairs(&self) -> u64 {
-        match &self.backend {
-            Backend::Indexed { rows, .. } => rows.total(),
-            Backend::PresentScan { present, .. } => {
-                let mut active = 0u64;
-                for &u in present {
-                    active += self.row_weight_scan(u, present);
-                }
-                active
-            }
+            Err(SimError::StateIndexOutOfRange { index, num_states })
         }
     }
 
-    /// Whether the configuration is silent (no non-null ordered pair exists).
-    /// Matches [`Simulation::is_silent`] exactly and costs O(1) on the
-    /// indexed backend.
-    pub fn is_silent(&self) -> bool {
-        self.active_pairs() == 0
+    fn lookup(&self, protocol: &P, state: &P::State) -> Option<usize> {
+        let index = protocol.state_index(state);
+        (index < self.decoded.len()).then_some(index)
     }
 
-    /// Recomputes the non-null pair weight from the raw counts, bypassing
-    /// every incrementally maintained structure. Agreement with
-    /// [`BatchedSimulation::active_pairs`] is the row-maintenance audit the
-    /// property suites check after epochs and fault bursts.
-    pub fn recount_active_pairs(&self) -> u64 {
-        match &self.backend {
-            Backend::Indexed { partners, .. } => (0..self.counts.len())
-                .map(|i| {
-                    Self::row_weight(
-                        &self.protocol,
-                        &self.counts,
-                        &self.decoded,
-                        self.rates.as_ref(),
-                        i,
-                        &partners[i],
-                    )
-                })
-                .sum(),
-            Backend::PresentScan { present, .. } => {
-                present.iter().map(|&u| self.row_weight_scan(u, present)).sum()
-            }
-        }
-    }
-
-    /// Runs until the configuration is silent or `budget` additional
-    /// interactions (counting skipped nulls) have elapsed.
-    pub fn run_until_silent(&mut self, budget: u64) -> RunOutcome {
-        let mut remaining = budget;
-        loop {
-            let active = self.active_pairs();
-            if active == 0 {
-                if self.telemetry.is_recording() {
-                    self.record_probe_now();
-                }
-                return RunOutcome { reason: StopReason::Silent, interactions: self.interactions };
-            }
-            if self.telemetry.probe_due(self.interactions.count()) {
-                self.record_probe_now();
-            }
-            if !self.advance(active, &mut remaining, None) {
-                return RunOutcome {
-                    reason: StopReason::BudgetExhausted,
-                    interactions: self.interactions,
-                };
-            }
-        }
-    }
-
-    /// Runs until `condition` holds, checking after every applied (non-null)
-    /// transition — a *finer* granularity than the exact engine's periodic
-    /// checks — or until the configuration is silent or the budget runs out.
-    /// Under [`SamplingMode::BatchCount`] the check instead lands after every
-    /// epoch, with epochs capped to `n/8` expected interactions so conditions
-    /// are examined about as often as the exact engine examines them.
-    ///
-    /// The predicate receives the canonical configuration, so any
-    /// permutation-invariant predicate written for the exact engine works
-    /// unchanged. Materializing it costs O(n) per non-null interaction; for
-    /// large-n workloads prefer [`BatchedSimulation::run_until_silent`] or a
-    /// count-based predicate via [`BatchedSimulation::run_until_counts`].
-    pub fn run_until(
-        &mut self,
-        mut condition: impl FnMut(&Configuration<P::State>) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        self.run_until_counts(|sim| condition(&sim.to_configuration()), budget)
-    }
-
-    /// Runs until `condition` holds for the simulation's multiset state,
-    /// checking after every applied transition, or until the configuration is
-    /// silent or the budget runs out.
-    pub fn run_until_counts(
-        &mut self,
-        mut condition: impl FnMut(&Self) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        if condition(self) {
-            return RunOutcome {
-                reason: StopReason::ConditionMet,
-                interactions: self.interactions,
-            };
-        }
-        let mut remaining = budget;
-        let check_cap = ((self.n as u64) / 8).max(1);
-        loop {
-            let active = self.active_pairs();
-            if active == 0 {
-                return RunOutcome { reason: StopReason::Silent, interactions: self.interactions };
-            }
-            if !self.advance(active, &mut remaining, Some(check_cap)) {
-                return RunOutcome {
-                    reason: StopReason::BudgetExhausted,
-                    interactions: self.interactions,
-                };
-            }
-            if condition(self) {
-                return RunOutcome {
-                    reason: StopReason::ConditionMet,
-                    interactions: self.interactions,
-                };
-            }
-        }
-    }
-
-    /// Executes exactly `budget` interactions (in batches).
-    pub fn run_for(&mut self, budget: u64) {
-        let mut remaining = budget;
-        while remaining > 0 {
-            let active = self.active_pairs();
-            if active == 0 {
-                // Silent: the remaining interactions are all null.
-                self.interactions += Interactions::new(remaining);
-                return;
-            }
-            if !self.advance(active, &mut remaining, None) {
-                return;
-            }
-        }
-    }
-
-    /// Dispatches one advance step according to the sampling mode.
-    /// `elapsed_cap` soft-caps an epoch's expected elapsed interactions;
-    /// predicate runs pass their check granularity through it.
-    fn advance(&mut self, active: u64, remaining: &mut u64, elapsed_cap: Option<u64>) -> bool {
-        match self.mode {
-            SamplingMode::PerTransition => self.advance_one_transition(active, remaining),
-            // Epoch tables freeze an exchangeable pair measure; a weighted
-            // scheduler reshapes the measure with every count change, so
-            // batch-count runs degrade to exact per-transition sampling and
-            // record that they did.
-            SamplingMode::BatchCount if self.rates.is_some() => {
-                self.counters.incr(Counter::SchedulerFallbacks);
-                self.advance_one_transition(active, remaining)
-            }
-            SamplingMode::BatchCount => self.advance_epoch(active, remaining, elapsed_cap),
-        }
-    }
-
-    /// Skips the null run preceding the next non-null interaction and applies
-    /// that interaction, staying within `remaining` interactions. Returns
-    /// `false` (with `remaining` driven to 0 and the interaction counter
-    /// advanced) if the budget ran out before the non-null interaction.
-    fn advance_one_transition(&mut self, active: u64, remaining: &mut u64) -> bool {
-        let skip = sample_null_run(active, self.total_weight(), &mut self.rng);
-        if skip >= *remaining {
-            self.counters.add(Counter::NullsSkipped, *remaining);
-            self.interactions += Interactions::new(*remaining);
-            *remaining = 0;
-            return false;
-        }
-        self.counters.add(Counter::NullsSkipped, skip);
-        self.interactions += Interactions::new(skip + 1);
-        *remaining -= skip + 1;
-        self.transitions += 1;
-        self.apply_sampled_transition(active);
-        true
-    }
-
-    /// Advances one **batch-count epoch**: draws how many times each active
-    /// ordered state pair interacts over the next `B` non-null interactions
-    /// (jointly multivariate-hypergeometric over the frozen pair weights),
-    /// clamps the table so each agent participates at most once per epoch
-    /// (the collision-free guarantee — it also means the table has a valid
-    /// sequential realization, so silence cannot strike mid-epoch), applies
-    /// every cell through one bulk [`Self::apply_count_deltas`], and accounts
-    /// the interleaved null interactions with a segmented negative-binomial
-    /// clock that tracks the evolving active-pair mass
-    /// ([`sample_interleaved_nulls`]) and ends **on** the last applied
-    /// transition — no trailing nulls, hence no late-silence bias.
-    ///
-    /// Falls back to [`Self::advance_one_transition`] whenever the
-    /// collision-free batch length clamps to one: small populations, few
-    /// active pairs (near silence), or a nearly exhausted budget. Budget and
-    /// measurement-tick boundaries therefore land exactly as in the
-    /// per-transition mode.
-    fn advance_epoch(
-        &mut self,
-        active: u64,
-        remaining: &mut u64,
-        elapsed_cap: Option<u64>,
-    ) -> bool {
-        let total_pairs = (self.n as u64) * (self.n as u64 - 1);
-        let p = active as f64 / total_pairs as f64;
-        // Collision-free batch length: small enough that (a) at most n/8
-        // agents are consumed per epoch, (b) the frozen weights stay close to
-        // the evolving truth (B ≤ A/8, which also bounds the availability
-        // truncation rate), (c) the epoch's expected elapsed time stays
-        // within half the remaining budget and the caller's granularity cap.
-        let mut b_target = ((self.n as u64) / 16).min(active / 8);
-        b_target = b_target.min((*remaining as f64 * p * 0.5) as u64);
-        if let Some(cap) = elapsed_cap {
-            b_target = b_target.min((cap as f64 * p) as u64);
-        }
-        if b_target <= 1 {
-            return self.advance_one_transition(active, remaining);
-        }
-        self.counters.add(Counter::BatchDraws, b_target);
-
-        // Phase 1: draw the interaction-count table over the frozen weights.
-        // Rows first (initiator states), then each row's share across its
-        // partner cells, all by exact conditional hypergeometric splits.
-        self.telemetry.span_begin("epoch.draw");
-        let mut cells: Vec<(usize, usize, u64)> = Vec::new();
-        {
-            let Self { protocol, counts, decoded, backend, rng, rates, .. } = self;
-            let rates = rates.as_ref();
-            match backend {
-                Backend::Indexed { partners, rows } => {
-                    let mut row_shares: Vec<(usize, u64)> = Vec::new();
-                    rows.split_batch(b_target, rng, &mut |leaf, share| {
-                        row_shares.push((leaf, share));
-                    });
-                    for (i, n_i) in row_shares {
-                        let ci = counts[i];
-                        let mut row_rem =
-                            Self::row_weight(protocol, counts, decoded, rates, i, &partners[i]);
-                        let mut n_rem = n_i;
-                        for &j in &partners[i] {
-                            if n_rem == 0 {
-                                break;
-                            }
-                            let w = ci * Self::pair_term(protocol, counts, decoded, rates, i, j);
-                            let m = sample_hypergeometric(row_rem, w, n_rem, rng);
-                            row_rem -= w;
-                            n_rem -= m;
-                            if m > 0 {
-                                cells.push((i, j, m));
-                            }
-                        }
-                        debug_assert_eq!(n_rem, 0, "row share exceeds row weight");
-                    }
-                }
-                Backend::PresentScan { present, .. } => {
-                    let mut a_rem = active;
-                    let mut b_rem = b_target;
-                    for &u in present.iter() {
-                        if b_rem == 0 {
-                            break;
-                        }
-                        let r = Self::row_weight(protocol, counts, decoded, rates, u, present);
-                        let n_u = sample_hypergeometric(a_rem, r, b_rem, rng);
-                        a_rem -= r;
-                        b_rem -= n_u;
-                        if n_u == 0 {
-                            continue;
-                        }
-                        let cu = counts[u];
-                        let mut row_rem = r;
-                        let mut n_rem = n_u;
-                        for &v in present.iter() {
-                            if n_rem == 0 {
-                                break;
-                            }
-                            let w = cu * Self::pair_term(protocol, counts, decoded, rates, u, v);
-                            let m = sample_hypergeometric(row_rem, w, n_rem, rng);
-                            row_rem -= w;
-                            n_rem -= m;
-                            if m > 0 {
-                                cells.push((u, v, m));
-                            }
-                        }
-                        debug_assert_eq!(n_rem, 0, "row share exceeds row weight");
-                    }
-                    debug_assert_eq!(b_rem, 0, "batch exceeds the active pair weight");
-                }
-            }
-        }
-        self.telemetry.span_end("epoch.draw");
-
-        // Phase 2: clamp to per-agent availability. A diagonal cell (i, i)
-        // consumes two agents of state i per interaction; off-diagonal cells
-        // one of each. The first nonzero cell always fits (its states have
-        // full availability and a positive pair weight), so b_applied >= 1.
-        self.telemetry.span_begin("epoch.apply");
-        if self.scratch_avail.len() < self.counts.len() {
-            self.scratch_avail.resize(self.counts.len(), 0);
-            self.scratch_stamp.resize(self.counts.len(), 0);
-        }
-        self.counters.incr(Counter::EpochsOpened);
-        let stamp = self.counters.get(Counter::EpochsOpened);
-        let mut b_applied = 0u64;
-        // Truncations accumulate locally and only commit with the epoch: a
-        // budget-overshooting epoch undoes its transitions, so leaving its
-        // truncations counted would skew the truncations/transitions
-        // diagnostic (both backends commit at the same point now).
-        let mut epoch_truncations = 0u64;
-        for cell in &mut cells {
-            let (i, j, drawn) = *cell;
-            for s in [i, j] {
-                if self.scratch_stamp[s] != stamp {
-                    self.scratch_stamp[s] = stamp;
-                    self.scratch_avail[s] = self.counts[s];
-                }
-            }
-            let cap = if i == j {
-                self.scratch_avail[i] / 2
-            } else {
-                self.scratch_avail[i].min(self.scratch_avail[j])
-            };
-            let m = drawn.min(cap);
-            epoch_truncations += drawn - m;
-            if i == j {
-                self.scratch_avail[i] -= 2 * m;
-            } else {
-                self.scratch_avail[i] -= m;
-                self.scratch_avail[j] -= m;
-            }
-            cell.2 = m;
-            b_applied += m;
-        }
-        debug_assert!(b_applied >= 1, "the first drawn cell always fits");
-
-        // Phases 3 and 4, optimistically ordered: apply the table, audit the
-        // epoch-end active mass, then draw the null clock segmented over the
-        // evolving mass ([`sample_interleaved_nulls`]) — a clock frozen at
-        // the epoch-start probability under-counts nulls whenever the mass
-        // shrinks several-fold within an epoch, which epidemic tails do
-        // under the n/16 batch clamp. The epoch still ends **on** its last
-        // applied transition. If the clock overshoots the remaining budget,
-        // the apply is undone exactly (count deltas are invertible, and
-        // every derived structure is recomputed from counts) and the run
-        // advances per-transition instead, which lands the budget exactly;
-        // the discarded draws leave the law of the continuation unchanged.
-        // One path for every budget also keeps epoch boundaries
-        // seed-reproducible: replaying with the budget set to an observed
-        // silence time makes the same draws in the same order.
-        let mut deltas = self.apply_epoch_cells(&cells, stamp);
-        let a_end = self.active_pairs();
-        let nulls = sample_interleaved_nulls(b_applied, active, a_end, total_pairs, &mut self.rng);
-        self.telemetry.span_end("epoch.apply");
-        match b_applied.checked_add(nulls) {
-            Some(elapsed) if elapsed <= *remaining => {
-                self.counters.add(Counter::BatchTruncations, epoch_truncations);
-                self.counters.add(Counter::NullsSkipped, nulls);
-                self.interactions += Interactions::new(elapsed);
-                *remaining -= elapsed;
-                self.transitions += b_applied;
-                true
-            }
-            _ => {
-                self.counters.incr(Counter::EpochsDiscarded);
-                for d in &mut deltas {
-                    d.1 = -d.1;
-                }
-                self.apply_count_deltas(&deltas);
-                self.advance_one_transition(active, remaining)
-            }
-        }
-    }
-
-    /// Phase 4 of [`Self::advance_epoch`]: applies a clamped interaction-count
-    /// table through one bulk [`Self::apply_count_deltas`]. Deterministic
-    /// protocols evaluate each cell's transition once and apply the outcome
-    /// m-fold; randomized protocols evaluate per counted interaction
-    /// (correct, just without the per-cell collapse). Returns the applied
-    /// deltas so an epoch that overshoots the budget can be undone exactly.
-    fn apply_epoch_cells(
-        &mut self,
-        cells: &[(usize, usize, u64)],
-        stamp: u64,
-    ) -> Vec<(usize, i64)> {
-        // The probe streams below exist only under debug_assertions.
-        let _ = stamp;
-        let deterministic = self.protocol.deterministic_transitions();
-        let mut deltas: Vec<(usize, i64)> = Vec::with_capacity(4 * cells.len());
-        for &(i, j, m) in cells {
-            if m == 0 {
-                continue;
-            }
-            #[cfg(debug_assertions)]
-            if deterministic && m > 1 {
-                // Two independent probe streams must agree if the protocol's
-                // determinism declaration is truthful.
-                let mut probe_a = ChaCha8Rng::seed_from_u64(stamp ^ 0xD371);
-                let mut probe_b = ChaCha8Rng::seed_from_u64(stamp ^ 0x9E37);
-                let (xa, ya) =
-                    self.protocol.transition(&self.decoded[i], &self.decoded[j], &mut probe_a);
-                let (xb, yb) =
-                    self.protocol.transition(&self.decoded[i], &self.decoded[j], &mut probe_b);
-                debug_assert!(
-                    self.protocol.state_index(&xa) == self.protocol.state_index(&xb)
-                        && self.protocol.state_index(&ya) == self.protocol.state_index(&yb),
-                    "protocol declares deterministic_transitions but outcomes differ"
-                );
-            }
-            let reps = if deterministic { 1 } else { m };
-            let per = (m / reps) as i64;
-            for _ in 0..reps {
-                let (a2, b2) = {
-                    let (a, b) = (&self.decoded[i], &self.decoded[j]);
-                    self.protocol.transition(a, b, &mut self.rng)
-                };
-                let i2 = self.protocol.state_index(&a2);
-                let j2 = self.protocol.state_index(&b2);
-                if i == j {
-                    deltas.push((i, -2 * per));
-                } else {
-                    deltas.push((i, -per));
-                    deltas.push((j, -per));
-                }
-                deltas.push((i2, per));
-                deltas.push((j2, per));
-            }
-        }
-        self.apply_count_deltas(&deltas);
-        deltas
-    }
-
-    /// Samples the non-null ordered state pair and applies one transition.
-    fn apply_sampled_transition(&mut self, active: u64) {
-        let target = self.rng.gen_range(0..active);
-        let (i, j) = match &self.backend {
-            Backend::Indexed { partners, rows } => {
-                let i = rows.find(target);
-                // Sample the responder among i's non-null partners.
-                let mut t = {
-                    // rows stores c_i * s_i; recover s_i to re-draw cheaply.
-                    let mut s = 0u64;
-                    for &j in &partners[i] {
-                        s += self.pair_weight_term(i, j);
-                    }
-                    self.rng.gen_range(0..s)
-                };
-                let mut chosen = None;
-                for &j in &partners[i] {
-                    let w = self.pair_weight_term(i, j);
-                    if t < w {
-                        chosen = Some(j);
-                        break;
-                    }
-                    t -= w;
-                }
-                (i, chosen.expect("responder weights sum to s"))
-            }
-            Backend::PresentScan { present, .. } => {
-                let mut t = target;
-                let mut initiator = None;
-                for &u in present {
-                    let r = self.row_weight_scan(u, present);
-                    if t < r {
-                        initiator = Some(u);
-                        break;
-                    }
-                    t -= r;
-                }
-                let i = initiator.expect("initiator rows sum to active");
-                // Within row i the remaining target t selects the responder:
-                // row i is laid out as c_i consecutive copies of the
-                // responder weights, so reduce modulo the per-copy sum.
-                let per_copy: u64 =
-                    present.iter().map(|&v| self.pair_weight_term_dense(i, v)).sum();
-                let mut t = t % per_copy;
-                let mut responder = None;
-                for &v in present {
-                    let w = self.pair_weight_term_dense(i, v);
-                    if t < w {
-                        responder = Some(v);
-                        break;
-                    }
-                    t -= w;
-                }
-                (i, responder.expect("responder weights sum to per-copy total"))
-            }
-        };
-        debug_assert!(!self.protocol.is_null(&self.decoded[i], &self.decoded[j]));
-        let (a2, b2) = {
-            let (a, b) = (&self.decoded[i], &self.decoded[j]);
-            self.protocol.transition(a, b, &mut self.rng)
-        };
-        let i2 = self.protocol.state_index(&a2);
-        let j2 = self.protocol.state_index(&b2);
-        self.apply_count_deltas(&[(i, -1), (j, -1), (i2, 1), (j2, 1)]);
-    }
-
-    /// The contribution of responder state `j` to initiator `i`'s row:
-    /// `(c_j − [i = j])` if `(i, j)` is non-null, else 0 — scaled by the
-    /// scheduler rate of `(i, j)` when a weighted scheduler is installed.
-    ///
-    /// Associated function over the individual fields (rather than `&self`)
-    /// so row repairs can call it while the backend is mutably borrowed.
-    fn pair_term(
-        protocol: &P,
-        counts: &[u64],
-        decoded: &[P::State],
-        rates: Option<&IndexRates>,
-        i: usize,
-        j: usize,
-    ) -> u64 {
-        if protocol.is_null(&decoded[i], &decoded[j]) {
-            return 0;
-        }
-        let c = counts[j].saturating_sub((i == j) as u64);
-        match rates {
-            None => c,
-            Some(r) => r
-                .rate(i, j)
-                .checked_mul(c)
-                .expect("weighted pair term overflows u64; scale the rates down"),
-        }
-    }
-
-    /// Row weight of state `i` given its partner list (see [`Self::pair_term`]
-    /// for why this is an associated function).
-    fn row_weight(
-        protocol: &P,
-        counts: &[u64],
-        decoded: &[P::State],
-        rates: Option<&IndexRates>,
-        i: usize,
-        partners: &[usize],
-    ) -> u64 {
-        let ci = counts[i];
-        if ci == 0 {
-            return 0;
-        }
-        let mut s = 0u64;
-        for &j in partners {
-            s += Self::pair_term(protocol, counts, decoded, rates, i, j);
-        }
-        ci.checked_mul(s).expect("weighted row weight overflows u64; scale the rates down")
-    }
-
-    /// Method form of [`Self::pair_term`] for call sites holding `&self`.
-    fn pair_weight_term(&self, i: usize, j: usize) -> u64 {
-        Self::pair_term(&self.protocol, &self.counts, &self.decoded, self.rates.as_ref(), i, j)
-    }
-
-    /// The total pair measure the scheduler draws each interaction from:
-    /// `n(n−1)` under the uniform scheduler, the rate-weighted `W(c)` under
-    /// a weighted one. The null-run success probability is
-    /// `active_pairs() / total_weight()` either way.
-    fn total_weight(&self) -> u64 {
-        let n = self.n as u64;
-        let total_pairs = n * (n - 1);
-        match &self.rates {
-            None => total_pairs,
-            Some(r) => r.total_weight(&self.counts, total_pairs),
-        }
-    }
-
-    /// Same as [`Self::pair_weight_term`] for the dense backend (identical
-    /// formula; separate name only for profiling clarity).
-    fn pair_weight_term_dense(&self, i: usize, j: usize) -> u64 {
-        self.pair_weight_term(i, j)
-    }
-
-    /// Full row weight of state `u` against the present set (dense backend).
-    fn row_weight_scan(&self, u: usize, present: &[usize]) -> u64 {
-        Self::row_weight(
-            &self.protocol,
-            &self.counts,
-            &self.decoded,
-            self.rates.as_ref(),
-            u,
-            present,
-        )
-    }
-
-    /// Applies one fault burst in count space: draws `states.len()` victim
-    /// agents **proportionally to the current counts without replacement**
-    /// (the count-space image of choosing distinct agents uniformly — agents
-    /// are anonymous, so the multiset distribution is identical to the exact
-    /// engine's [`Simulation::inject_states`]) and moves the `i`-th victim
-    /// into `states[i]`, repairing the affected row weights incrementally
-    /// through the same path as an applied transition (see [`crate::faults`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` exceeds the population size.
-    pub fn inject_states(&mut self, states: &[P::State], rng: &mut impl Rng) {
-        let k = states.len();
-        assert!(k <= self.n, "cannot corrupt more agents than the population holds");
-        let victims = sample_victims_by_counts(&self.counts, None, k, rng);
-        let mut deltas: Vec<(usize, i64)> = Vec::with_capacity(2 * k);
-        for (src, s) in victims.into_iter().zip(states) {
-            deltas.push((src, -1));
-            deltas.push((self.protocol.state_index(s), 1));
-        }
-        self.apply_count_deltas(&deltas);
-    }
-
-    /// Population churn: `states.len()` fresh agents join in the given
-    /// states. A no-op for an empty slice.
-    pub fn join(&mut self, states: &[P::State]) {
-        if states.is_empty() {
-            return;
-        }
-        let deltas: Vec<(usize, i64)> = states
-            .iter()
-            .map(|s| {
-                let i = self.protocol.state_index(s);
-                assert!(i < self.counts.len(), "joining state outside the enumerated space");
-                (i, 1)
-            })
-            .collect();
-        self.n += states.len();
-        self.apply_count_deltas(&deltas);
-    }
-
-    /// Population churn: `k` agents, drawn proportionally to the current
-    /// counts without replacement (the count-space image of uniform distinct
-    /// departures), leave the population. A no-op for `k == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless at least two agents remain after the departures.
-    pub fn leave(&mut self, k: usize, rng: &mut impl Rng) {
-        if k == 0 {
-            return;
-        }
-        assert!(self.n >= k + 2, "churn departures must leave at least two agents");
-        let victims = sample_victims_by_counts(&self.counts, None, k, rng);
-        let deltas: Vec<(usize, i64)> = victims.into_iter().map(|i| (i, -1)).collect();
-        self.n -= k;
-        self.apply_count_deltas(&deltas);
-    }
-
-    /// Applies signed count changes and repairs the backend structures.
-    fn apply_count_deltas(&mut self, deltas: &[(usize, i64)]) {
-        // Net the deltas per state first (i may equal j, or a state may both
-        // lose and gain an agent in the same transition). Small lists — the
-        // per-transition path — net by linear scan; epoch-sized lists sort,
-        // which keeps the netting O(k log k) instead of O(k²).
-        let mut net: Vec<(usize, i64)> = Vec::with_capacity(deltas.len());
-        if deltas.len() <= 16 {
-            for &(k, d) in deltas {
-                match net.iter_mut().find(|(s, _)| *s == k) {
-                    Some((_, acc)) => *acc += d,
-                    None => net.push((k, d)),
-                }
-            }
-        } else {
-            let mut sorted = deltas.to_vec();
-            sorted.sort_unstable_by_key(|&(s, _)| s);
-            for (s, d) in sorted {
-                match net.last_mut() {
-                    Some((ls, acc)) if *ls == s => *acc += d,
-                    _ => net.push((s, d)),
-                }
-            }
-        }
-        net.retain(|&(_, d)| d != 0);
-        for &(k, d) in &net {
-            let c = self.counts[k] as i64 + d;
-            debug_assert!(c >= 0, "state count went negative");
-            self.counts[k] = c as u64;
-        }
-        match &mut self.backend {
-            Backend::Indexed { partners, rows } => {
-                // Rows whose weight depends on a changed count: the changed
-                // state itself plus everything it can interact with.
-                let mut affected: Vec<usize> = Vec::new();
-                for &(k, _) in &net {
-                    affected.push(k);
-                    affected.extend_from_slice(&partners[k]);
-                }
-                affected.sort_unstable();
-                affected.dedup();
-                for i in affected {
-                    let new_row = Self::row_weight(
-                        &self.protocol,
-                        &self.counts,
-                        &self.decoded,
-                        self.rates.as_ref(),
-                        i,
-                        &partners[i],
-                    );
-                    let old_row = Self::row_from_fenwick(rows, i);
-                    rows.add(i, new_row as i64 - old_row as i64);
-                }
-            }
-            Backend::PresentScan { present, position } => {
-                for &(k, _) in &net {
-                    let now_present = self.counts[k] > 0;
-                    let was_present = position[k] != NOT_PRESENT;
-                    if now_present && !was_present {
-                        position[k] = present.len();
-                        present.push(k);
-                    } else if !now_present && was_present {
-                        let pos = position[k];
-                        let last = *present.last().expect("present is nonempty");
-                        present.swap_remove(pos);
-                        position[k] = NOT_PRESENT;
-                        if last != k {
-                            position[last] = pos;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Point query of a row weight in the Fenwick tree.
-    fn row_from_fenwick(rows: &Fenwick, i: usize) -> u64 {
-        // prefix(i+1) − prefix(i) via the tree's partial sums.
-        let prefix = |mut idx: usize| -> u64 {
-            let mut sum = 0u64;
-            while idx > 0 {
-                sum += rows.tree[idx];
-                idx -= idx & idx.wrapping_neg();
-            }
-            sum
-        };
-        prefix(i + 1) - prefix(i)
-    }
-
-    /// Rebuilds every row weight from the counts (used at construction).
-    fn rebuild_rows(&mut self) {
-        let partners = match &mut self.backend {
-            Backend::Indexed { partners, .. } => std::mem::take(partners),
-            Backend::PresentScan { .. } => return,
-        };
-        self.counters.incr(Counter::FenwickRebuilds);
-        let mut fresh = Fenwick::new(self.counts.len());
-        for (i, list) in partners.iter().enumerate() {
-            let w = Self::row_weight(
-                &self.protocol,
-                &self.counts,
-                &self.decoded,
-                self.rates.as_ref(),
-                i,
-                list,
-            );
-            fresh.add(i, w as i64);
-        }
-        if let Backend::Indexed { partners: p, rows } = &mut self.backend {
-            *p = partners;
-            *rows = fresh;
-        }
+    fn state(&self, key: usize) -> &P::State {
+        &self.decoded[key]
     }
 }
+
+/// The count engine on an enumerable protocol: a [`CountSimulation`] keyed
+/// by the protocol's static enumeration. Construct with
+/// [`CountSimulation::new`] and read results with
+/// [`CountSimulation::state_counts`] / [`CountSimulation::to_configuration`].
+pub type BatchedSimulation<P> = CountSimulation<P, EnumeratedKeys<P>>;
 
 /// Which simulation engine to run a workload on.
 ///
 /// The engines simulate the same Markov chain; they differ only in cost
 /// model. [`Engine::Exact`] pays O(1) per interaction and works for every
-/// [`Protocol`]. [`Engine::Batched`] pays only per *non-null* interaction;
-/// its backend depends on the protocol's capability trait: the statically
-/// enumerated backends for [`EnumerableProtocol`] (driven by
+/// [`Protocol`]. [`Engine::Batched`] pays only per *non-null* interaction on
+/// the count engine, whose key policy follows the protocol's capability
+/// trait: the static enumeration for [`EnumerableProtocol`] (driven by
 /// [`crate::RunSpec::run`] or, for custom predicates, [`Engine::run_until`])
-/// and the dynamically interned backend for [`crate::InternableProtocol`]
+/// and the growable interner for [`crate::InternableProtocol`]
 /// ([`crate::RunSpec::run_interned`] / [`Engine::run_until_interned`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Engine {
@@ -1531,6 +356,32 @@ impl Engine {
         budget: u64,
         condition: impl FnMut(&Configuration<P::State>) -> bool,
     ) -> EngineReport<P::State> {
+        self.run_until_keyed::<P, EnumeratedKeys<P>>(protocol, init, seed, budget, condition)
+    }
+
+    /// Runs an [`InternableProtocol`] from `init` until the (permutation-
+    /// invariant) predicate holds or `budget` interactions elapse; the
+    /// open-state-space counterpart of [`Engine::run_until`].
+    pub fn run_until_interned<P: InternableProtocol>(
+        self,
+        protocol: P,
+        init: &Configuration<P::State>,
+        seed: u64,
+        budget: u64,
+        condition: impl FnMut(&Configuration<P::State>) -> bool,
+    ) -> EngineReport<P::State> {
+        self.run_until_keyed::<P, InternedKeys<P>>(protocol, init, seed, budget, condition)
+    }
+
+    /// [`Engine::run_until`] with the count engine keyed by `K`.
+    fn run_until_keyed<P: Protocol, K: StateKeys<P>>(
+        self,
+        protocol: P,
+        init: &Configuration<P::State>,
+        seed: u64,
+        budget: u64,
+        condition: impl FnMut(&Configuration<P::State>) -> bool,
+    ) -> EngineReport<P::State> {
         match self {
             Engine::Exact => {
                 let mut sim = Simulation::new(protocol, init.clone(), seed);
@@ -1538,7 +389,7 @@ impl Engine {
                 EngineReport { outcome, final_config: sim.configuration().clone() }
             }
             Engine::Batched | Engine::BatchedCounts => {
-                let mut sim = BatchedSimulation::new(protocol, init, seed)
+                let mut sim = CountSimulation::<P, K>::new(protocol, init, seed)
                     .with_sampling_mode(self.sampling_mode());
                 let outcome = sim.run_until(condition, budget);
                 EngineReport { outcome, final_config: sim.to_configuration() }
@@ -1548,9 +399,51 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::count::Fenwick;
     use crate::protocol::Protocol;
+    use crate::time::Interactions;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// Hides an enumerable protocol's partner lists, so the count engine
+    /// runs it on present-set rows: the dense enumerable path.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Dense<P>(pub P);
+
+    impl<P: Protocol> Protocol for Dense<P> {
+        type State = P::State;
+        fn population_size(&self) -> usize {
+            self.0.population_size()
+        }
+        fn transition(
+            &self,
+            a: &P::State,
+            b: &P::State,
+            rng: &mut dyn RngCore,
+        ) -> (P::State, P::State) {
+            self.0.transition(a, b, rng)
+        }
+        fn is_null(&self, a: &P::State, b: &P::State) -> bool {
+            self.0.is_null(a, b)
+        }
+        fn deterministic_transitions(&self) -> bool {
+            self.0.deterministic_transitions()
+        }
+    }
+
+    impl<P: EnumerableProtocol> EnumerableProtocol for Dense<P> {
+        fn num_states(&self) -> usize {
+            self.0.num_states()
+        }
+        fn state_index(&self, s: &P::State) -> usize {
+            self.0.state_index(s)
+        }
+        fn state_from_index(&self, i: usize) -> P::State {
+            self.0.state_from_index(i)
+        }
+    }
 
     /// (L, L) -> (L, F) with dense indices {L: 0, F: 1}.
     #[derive(Clone, Copy, Debug)]
@@ -1624,7 +517,7 @@ mod tests {
             assert_eq!(sim.count_of(&1), 199);
 
             let mut dense = BatchedSimulation::new(
-                ForceDense(Frat { n: 200 }),
+                Dense(Frat { n: 200 }),
                 &Configuration::uniform(0u8, 200),
                 seed,
             );
@@ -1691,9 +584,10 @@ mod tests {
     #[test]
     fn fenwick_prefix_search_matches_linear_scan() {
         let weights = [5u64, 0, 3, 7, 0, 1, 4];
-        let mut fw = Fenwick::new(weights.len());
+        let mut fw = Fenwick::with_capacity(weights.len());
+        fw.grow_to(weights.len());
         for (i, &w) in weights.iter().enumerate() {
-            fw.add(i, w as i64);
+            fw.set(i, w);
         }
         assert_eq!(fw.total(), 20);
         for target in 0..20u64 {
@@ -1706,15 +600,59 @@ mod tests {
                 }
                 t -= w;
             }
-            assert_eq!(fw.find(target), expected, "target {target}");
+            assert_eq!(fw.find(target).0, expected, "target {target}");
         }
         // Updates, including to zero.
-        fw.add(3, -7);
-        fw.add(1, 2);
+        fw.set(3, 0);
+        fw.set(1, 2);
         assert_eq!(fw.total(), 15);
-        assert_eq!(fw.find(5), 1);
-        assert_eq!(fw.find(6), 1);
-        assert_eq!(fw.find(7), 2);
+        assert_eq!(fw.find(5).0, 1);
+        assert_eq!(fw.find(6).0, 1);
+        assert_eq!(fw.find(7).0, 2);
+    }
+
+    #[test]
+    fn out_of_range_state_indices_are_a_typed_error() {
+        // Frat enumerates {0, 1}; state 7 indexes past the end.
+        let err = BatchedSimulation::try_new(Frat { n: 4 }, &Configuration::uniform(7u8, 4), 1)
+            .unwrap_err();
+        assert_eq!(err, SimError::StateIndexOutOfRange { index: 7, num_states: 2 });
+    }
+
+    #[test]
+    fn partial_partner_lists_are_a_typed_error() {
+        /// Declares partners for the leader state only.
+        #[derive(Clone, Copy, Debug)]
+        struct Partial(Frat);
+        impl Protocol for Partial {
+            type State = u8;
+            fn population_size(&self) -> usize {
+                self.0.population_size()
+            }
+            fn transition(&self, a: &u8, b: &u8, rng: &mut dyn RngCore) -> (u8, u8) {
+                self.0.transition(a, b, rng)
+            }
+            fn is_null(&self, a: &u8, b: &u8) -> bool {
+                self.0.is_null(a, b)
+            }
+        }
+        impl EnumerableProtocol for Partial {
+            fn num_states(&self) -> usize {
+                2
+            }
+            fn state_index(&self, s: &u8) -> usize {
+                *s as usize
+            }
+            fn state_from_index(&self, i: usize) -> u8 {
+                i as u8
+            }
+            fn interaction_partners(&self, i: usize) -> Option<Vec<usize>> {
+                (i == 0).then(|| vec![0])
+            }
+        }
+        let init = Configuration::uniform(0u8, 4);
+        let err = BatchedSimulation::try_new(Partial(Frat { n: 4 }), &init, 1).unwrap_err();
+        assert_eq!(err, SimError::PartialInteractionPartners { index: 1 });
     }
 
     #[test]
@@ -1784,18 +722,15 @@ mod tests {
 
         // All-active single state: the entire weight sits on the (L, L)
         // diagonal, so epochs exercise the 2m-per-pair availability rule.
-        // The run still elects exactly one leader on both backends.
+        // The run still elects exactly one leader on both row structures.
         let mut sim = batchcount(Frat { n: 400 }, &Configuration::uniform(0u8, 400), 7);
         assert!(sim.run_until_silent(u64::MAX >> 8).is_silent());
         assert_eq!(sim.count_of(&0), 1);
         assert_eq!(sim.transitions(), 399);
         assert!(sim.batch_epochs() > 0, "n = 400 from all-leaders must open epochs");
-        let mut dense = BatchedSimulation::new(
-            ForceDense(Frat { n: 400 }),
-            &Configuration::uniform(0u8, 400),
-            7,
-        )
-        .with_sampling_mode(SamplingMode::BatchCount);
+        let mut dense =
+            BatchedSimulation::new(Dense(Frat { n: 400 }), &Configuration::uniform(0u8, 400), 7)
+                .with_sampling_mode(SamplingMode::BatchCount);
         assert!(dense.run_until_silent(u64::MAX >> 8).is_silent());
         assert_eq!(dense.count_of(&0), 1);
     }
@@ -1843,9 +778,10 @@ mod tests {
         // Seeded; the 0.999 threshold gives a ~10⁻³ false-failure rate on a
         // reseed (see tests/sampling_stats.rs for the suite-wide budget).
         let weights = [3u64, 0, 2, 5];
-        let mut fw = Fenwick::new(weights.len());
+        let mut fw = Fenwick::with_capacity(weights.len());
+        fw.grow_to(weights.len());
         for (i, &w) in weights.iter().enumerate() {
-            fw.add(i, w as i64);
+            fw.set(i, w);
         }
         let draws = 4u64;
         let choose = |n: u64, k: u64| -> f64 {
@@ -1896,7 +832,7 @@ mod tests {
 
     mod scheduled {
         use super::*;
-        use crate::scheduler::{PairRates, Topology};
+        use crate::scheduler::{InteractionScheduler, PairRates, Topology};
 
         const BUDGET: u64 = u64::MAX >> 8;
 
@@ -1973,13 +909,9 @@ mod tests {
                 BatchedSimulation::try_new_scheduled(Frat { n: 40 }, &init, 3, &scheduler).unwrap();
             assert!(indexed.run_until_silent(BUDGET).is_silent());
             assert_eq!(leaders(&indexed.to_configuration()), 1);
-            let mut dense = BatchedSimulation::try_new_scheduled(
-                ForceDense(Frat { n: 40 }),
-                &init,
-                3,
-                &scheduler,
-            )
-            .unwrap();
+            let mut dense =
+                BatchedSimulation::try_new_scheduled(Dense(Frat { n: 40 }), &init, 3, &scheduler)
+                    .unwrap();
             assert!(dense.run_until_silent(BUDGET).is_silent());
             assert_eq!(leaders(&dense.to_configuration()), 1);
         }

@@ -40,6 +40,20 @@ pub enum SimError {
     /// Every pair rate of a weighted scheduler is zero: no interaction can
     /// ever be scheduled.
     ZeroRateScheduler,
+    /// An [`crate::EnumerableProtocol`] mapped a state to an index outside
+    /// its enumerated space `0..num_states`.
+    StateIndexOutOfRange {
+        /// The index `state_index` returned.
+        index: usize,
+        /// The size of the enumerated space.
+        num_states: usize,
+    },
+    /// An [`crate::EnumerableProtocol`] declared
+    /// `interaction_partners` for some state indices but not for all.
+    PartialInteractionPartners {
+        /// The first index whose declaration disagrees with index 0's.
+        index: usize,
+    },
     /// A [`crate::RunSpec`] was built without an initial configuration:
     /// none of `init`, `init_with`, or `scenario` was called, so there is
     /// nothing to run the trials from.
@@ -67,6 +81,14 @@ impl fmt::Display for SimError {
             SimError::ZeroRateScheduler => {
                 write!(f, "every pair rate of the weighted scheduler is zero")
             }
+            SimError::StateIndexOutOfRange { index, num_states } => {
+                write!(f, "state_index returned {index} for a space of {num_states} states")
+            }
+            SimError::PartialInteractionPartners { index } => write!(
+                f,
+                "interaction_partners must be Some for every index or none; index {index} \
+                 disagrees with index 0"
+            ),
             SimError::MissingInitialConfiguration => write!(
                 f,
                 "the run spec has no initial configuration; call init, init_with, or scenario \
@@ -95,6 +117,10 @@ mod tests {
         assert!(e.to_string().contains("ring"));
         assert!(e.to_string().contains("batched"));
         assert!(SimError::ZeroRateScheduler.to_string().contains("zero"));
+        let e = SimError::StateIndexOutOfRange { index: 7, num_states: 2 };
+        assert!(e.to_string().contains("returned 7 for a space of 2 states"));
+        let e = SimError::PartialInteractionPartners { index: 3 };
+        assert!(e.to_string().contains("index 3"));
         let e = SimError::MissingInitialConfiguration;
         assert!(e.to_string().contains("no initial configuration"));
     }

@@ -33,8 +33,8 @@
 //!   agent identities, so they draw `k` victims **proportionally to the
 //!   state counts without replacement** — the count-space image of the same
 //!   distribution — and apply the burst as count-table edits routed through
-//!   the engines' incremental row repair (`apply_count_deltas`), so affected
-//!   rows are re-audited incrementally, never by a full recount.
+//!   the count engine's incremental row repair (`apply_count_deltas`), so
+//!   affected rows are re-audited incrementally, never by a full recount.
 //!
 //! [`run_until_silent_with_faults`] drives any host segment by segment:
 //! run to silence (capped at the next injection index), advance the trailing
@@ -100,9 +100,8 @@ use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 
-use crate::batched::{BatchedSimulation, EnumerableProtocol};
+use crate::count::{CountSimulation, StateKeys};
 use crate::execution::{RunOutcome, Simulation, StopReason};
-use crate::interned::{InternableProtocol, InternedSimulation};
 use crate::protocol::Protocol;
 use crate::scenario::{name_salt, ScenarioRng};
 use crate::telemetry::{Counter, CounterBlock, Recorder};
@@ -315,8 +314,8 @@ pub(crate) fn sample_exponential_gap(mean: u64, rng: &mut impl Rng) -> u64 {
 
 /// The engine-side surface the fault driver needs: every simulation backend
 /// that can pause at an interaction index, apply a corruption burst, and
-/// resume implements this. The three engines do
-/// ([`Simulation`], [`BatchedSimulation`], [`InternedSimulation`]).
+/// resume implements this. Both engines do ([`Simulation`] and
+/// [`CountSimulation`], under either key policy).
 pub trait FaultHost {
     /// The protocol state type.
     type State;
@@ -400,29 +399,7 @@ impl<P: Protocol> FaultHost for Simulation<P> {
     fault_host_telemetry!();
 }
 
-impl<P: EnumerableProtocol> FaultHost for BatchedSimulation<P> {
-    type State = P::State;
-
-    fn interactions_so_far(&self) -> Interactions {
-        self.interactions()
-    }
-
-    fn run_to_silence(&mut self, budget: u64) -> RunOutcome {
-        self.run_until_silent(budget)
-    }
-
-    fn advance(&mut self, budget: u64) {
-        self.run_for(budget);
-    }
-
-    fn inject(&mut self, states: &[Self::State], rng: &mut ScenarioRng) {
-        self.inject_states(states, rng);
-    }
-
-    fault_host_telemetry!();
-}
-
-impl<P: InternableProtocol> FaultHost for InternedSimulation<P> {
+impl<P: Protocol, K: StateKeys<P>> FaultHost for CountSimulation<P, K> {
     type State = P::State;
 
     fn interactions_so_far(&self) -> Interactions {
@@ -561,10 +538,13 @@ pub fn run_until_silent_with_faults<H: FaultHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{Engine, ForceDense};
+    use crate::batched::tests::Dense;
+    use crate::batched::Engine;
+    use crate::batched::EnumerableProtocol;
     use crate::config::Configuration;
     use crate::interned::AsInterned;
     use crate::runspec::{RunSpec, TrialReport};
+    use crate::{BatchedSimulation, InternedSimulation};
     use rand::RngCore;
 
     /// (L, L) -> (L, F) with L = 0, F = 1.
@@ -672,7 +652,7 @@ mod tests {
             let exact = run_faulty(Engine::Exact, Frat { n: 60 }, &init, seed, BUDGET, &plan);
             let batched = run_faulty(Engine::Batched, Frat { n: 60 }, &init, seed, BUDGET, &plan);
             let dense =
-                run_faulty(Engine::Batched, ForceDense(Frat { n: 60 }), &init, seed, BUDGET, &plan);
+                run_faulty(Engine::Batched, Dense(Frat { n: 60 }), &init, seed, BUDGET, &plan);
             let interned = RunSpec::new(AsInterned(Frat { n: 60 }))
                 .engine(Engine::Batched)
                 .init(init.clone())

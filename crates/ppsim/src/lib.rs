@@ -18,16 +18,18 @@
 //!
 //! * [`Simulation`] — the **exact** per-agent engine: O(1) per interaction,
 //!   works for every protocol with no opt-in at all;
-//! * [`BatchedSimulation`] — the **batched** multiset engine: represents the
-//!   configuration as state counts, skips each run of null interactions in
-//!   O(1) by sampling its geometric length, and pays only per *non-null*
-//!   interaction. Protocols with a finite state space opt in via
-//!   [`EnumerableProtocol`] (see the [`batched`] module docs for the
-//!   algorithm and its cost model); protocols with an **open** state space —
-//!   `Sublinear-Time-SSR`'s names × history trees, roll call's rosters —
-//!   opt in via [`InternableProtocol`] and run on [`InternedSimulation`],
-//!   which assigns dense indices to states as they are first observed (see
-//!   the [`interned`] module docs).
+//! * the **count** engine [`CountSimulation`] — the batched multiset
+//!   engine: represents the configuration as state counts, skips each run
+//!   of null interactions in O(1) by sampling its geometric length, and
+//!   pays only per *non-null* interaction (see the [`batched`] module docs
+//!   for the algorithm and its cost model). It is one engine = one key
+//!   policy × one row structure ([`count`] module docs). Protocols with a
+//!   finite state space opt in via [`EnumerableProtocol`] and run as
+//!   [`BatchedSimulation`] (static keys); protocols with an **open** state
+//!   space — `Sublinear-Time-SSR`'s names × history trees, roll call's
+//!   rosters — opt in via [`InternableProtocol`] and run as
+//!   [`InternedSimulation`], whose keys are assigned to states as they are
+//!   first observed (see the [`interned`] module docs).
 //!
 //! [`Engine`] names the engine choice, and every to-silence workload —
 //! single runs and multi-trial experiments, with or without an explicit
@@ -95,6 +97,7 @@ pub mod agent;
 pub mod batched;
 pub mod churn;
 pub mod config;
+pub mod count;
 pub mod error;
 pub mod execution;
 pub mod faults;
@@ -113,7 +116,7 @@ pub mod trace;
 
 pub use agent::AgentId;
 pub use batched::{
-    sample_null_run, BatchedSimulation, Engine, EngineReport, EnumerableProtocol, ForceDense,
+    sample_null_run, BatchedSimulation, Engine, EngineReport, EnumerableProtocol, EnumeratedKeys,
     SamplingMode,
 };
 pub use churn::{
@@ -121,10 +124,13 @@ pub use churn::{
     ChurnHost, ChurnOutcome, ChurnPlan, ChurnRecord,
 };
 pub use config::Configuration;
+pub use count::{CountSimulation, StateKeys};
 pub use error::SimError;
 pub use execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
 pub use faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};
-pub use interned::{AsInterned, InternableProtocol, InternedSimulation, StateInterner};
+pub use interned::{
+    AsInterned, InternableProtocol, InternedKeys, InternedSimulation, StateInterner,
+};
 pub use mcheck::{
     check_convergence_from, check_fault_plan_closure, check_self_stabilization,
     check_self_stabilization_quotient, expected_silence_time_exact, expected_silence_time_probed,
@@ -141,9 +147,7 @@ pub use scheduler::{
     InteractionGraph, InteractionScheduler, OrderedPair, PairRates, Scheduler, Topology,
 };
 pub use symmetry::StateSymmetry;
-pub use telemetry::{
-    Counter, CounterBlock, NoopTelemetry, Probe, Recorder, Span, Telemetry, TelemetrySink,
-};
+pub use telemetry::{Counter, CounterBlock, Probe, Recorder, Span, TelemetrySink};
 pub use time::{Interactions, ParallelTime};
 pub use trace::{Trace, TraceEvent};
 
@@ -151,13 +155,14 @@ pub use trace::{Trace, TraceEvent};
 pub mod prelude {
     pub use crate::agent::AgentId;
     pub use crate::batched::{
-        BatchedSimulation, Engine, EngineReport, EnumerableProtocol, ForceDense, SamplingMode,
+        BatchedSimulation, Engine, EngineReport, EnumerableProtocol, SamplingMode,
     };
     pub use crate::churn::{
         run_until_silent_with_churn, run_until_silent_with_churn_and_faults, ChurnAction,
         ChurnEvent, ChurnHost, ChurnOutcome, ChurnPlan, ChurnRecord,
     };
     pub use crate::config::Configuration;
+    pub use crate::count::CountSimulation;
     pub use crate::error::SimError;
     pub use crate::execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
     pub use crate::faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};
@@ -178,9 +183,7 @@ pub mod prelude {
         InteractionGraph, InteractionScheduler, OrderedPair, PairRates, Scheduler, Topology,
     };
     pub use crate::symmetry::StateSymmetry;
-    pub use crate::telemetry::{
-        Counter, CounterBlock, NoopTelemetry, Probe, Recorder, Span, Telemetry, TelemetrySink,
-    };
+    pub use crate::telemetry::{Counter, CounterBlock, Probe, Recorder, Span, TelemetrySink};
     pub use crate::time::{Interactions, ParallelTime};
     pub use crate::trace::{Trace, TraceEvent};
 }

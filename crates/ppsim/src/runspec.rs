@@ -41,19 +41,20 @@ use std::sync::Arc;
 
 use rand::SeedableRng;
 
-use crate::batched::{BatchedSimulation, Engine, EngineReport, EnumerableProtocol};
+use crate::batched::{Engine, EngineReport, EnumerableProtocol, EnumeratedKeys};
 use crate::churn::{
     all_events_restabilized, final_restabilization, run_until_silent_with_churn_and_faults,
     ChurnOutcome, ChurnPlan, ChurnRecord, DEPARTURE_SALT,
 };
 use crate::config::Configuration;
+use crate::count::{CountSimulation, StateKeys};
 use crate::error::SimError;
 use crate::execution::{RunOutcome, Simulation};
 use crate::faults::{
     all_bursts_recovered, last_recovery, run_until_silent_with_faults, FaultOutcome, FaultPlan,
     VICTIM_SALT,
 };
-use crate::interned::{InternableProtocol, InternedSimulation};
+use crate::interned::{InternableProtocol, InternedKeys};
 use crate::protocol::Protocol;
 use crate::runner::{run_trials, TrialPlan};
 use crate::scenario::{Scenario, ScenarioRng};
@@ -357,55 +358,35 @@ impl<P: EnumerableProtocol + Clone + Sync> ReadyRun<P> {
     /// thread schedule.
     pub fn run(&self) -> Vec<TrialReport<P::State>> {
         let plan = self.spec.plan();
-        run_trials(&plan, |trial, seed| self.trial(trial, seed))
+        run_trials(&plan, |trial, seed| self.trial::<EnumeratedKeys<P>>(trial, seed))
     }
 
     /// Runs one execution seeded with the spec's base seed verbatim: the
     /// single-run counterpart of [`ReadyRun::run`], bit-identical to driving
     /// the underlying simulation directly with that seed.
     pub fn run_one(&self) -> TrialReport<P::State> {
-        self.trial(0, self.spec.base_seed)
-    }
-
-    fn trial(&self, trial: usize, seed: u64) -> TrialReport<P::State> {
-        let spec = &self.spec;
-        let protocol = spec.protocol.clone();
-        let config = spec.start.configuration(&protocol, trial, seed);
-        match spec.engine {
-            Engine::Exact => {
-                let mut sim =
-                    Simulation::try_new_scheduled(protocol, config, seed, &spec.scheduler)
-                        .expect("run spec validated upfront");
-                let final_config = |sim: &Simulation<P>| sim.configuration().clone();
-                drive(spec, seed, &mut sim, final_config)
-            }
-            Engine::Batched | Engine::BatchedCounts => {
-                let mut sim =
-                    BatchedSimulation::try_new_scheduled(protocol, &config, seed, &spec.scheduler)
-                        .expect("run spec validated upfront")
-                        .with_sampling_mode(spec.engine.sampling_mode());
-                let final_config = |sim: &BatchedSimulation<P>| sim.to_configuration();
-                drive(spec, seed, &mut sim, final_config)
-            }
-        }
+        self.trial::<EnumeratedKeys<P>>(0, self.spec.base_seed)
     }
 }
 
 impl<P: InternableProtocol + Clone + Sync> ReadyRun<P> {
     /// Runs the trials of an open-state-space protocol across threads: the
     /// interned counterpart of [`ReadyRun::run`] ([`Engine::Batched`] routes
-    /// through the dynamically interned backend).
+    /// through the interned key policy).
     pub fn run_interned(&self) -> Vec<TrialReport<P::State>> {
         let plan = self.spec.plan();
-        run_trials(&plan, |trial, seed| self.trial_interned(trial, seed))
+        run_trials(&plan, |trial, seed| self.trial::<InternedKeys<P>>(trial, seed))
     }
 
     /// Runs one interned execution seeded with the spec's base seed verbatim.
     pub fn run_one_interned(&self) -> TrialReport<P::State> {
-        self.trial_interned(0, self.spec.base_seed)
+        self.trial::<InternedKeys<P>>(0, self.spec.base_seed)
     }
+}
 
-    fn trial_interned(&self, trial: usize, seed: u64) -> TrialReport<P::State> {
+impl<P: Protocol + Clone> ReadyRun<P> {
+    /// One trial; the count engines key their tables with `K`.
+    fn trial<K: StateKeys<P>>(&self, trial: usize, seed: u64) -> TrialReport<P::State> {
         let spec = &self.spec;
         let protocol = spec.protocol.clone();
         let config = spec.start.configuration(&protocol, trial, seed);
@@ -418,12 +399,15 @@ impl<P: InternableProtocol + Clone + Sync> ReadyRun<P> {
                 drive(spec, seed, &mut sim, final_config)
             }
             Engine::Batched | Engine::BatchedCounts => {
-                let mut sim =
-                    InternedSimulation::try_new_scheduled(protocol, &config, seed, &spec.scheduler)
-                        .expect("run spec validated upfront")
-                        .with_sampling_mode(spec.engine.sampling_mode());
-                let final_config = |sim: &InternedSimulation<P>| sim.to_configuration();
-                drive(spec, seed, &mut sim, final_config)
+                let mut sim = CountSimulation::<P, K>::try_new_scheduled(
+                    protocol,
+                    &config,
+                    seed,
+                    &spec.scheduler,
+                )
+                .expect("run spec validated upfront")
+                .with_sampling_mode(spec.engine.sampling_mode());
+                drive(spec, seed, &mut sim, CountSimulation::to_configuration)
             }
         }
     }

@@ -4,6 +4,45 @@ use ppsim::prelude::*;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 
+/// Hides an enumerable protocol's partner lists (`interaction_partners`
+/// stays `None`), so the count engine runs it on present-set rows: the dense
+/// enumerable path.
+#[derive(Clone, Copy, Debug)]
+struct Dense<P>(P);
+
+impl<P: Protocol> Protocol for Dense<P> {
+    type State = P::State;
+    fn population_size(&self) -> usize {
+        self.0.population_size()
+    }
+    fn transition(
+        &self,
+        a: &P::State,
+        b: &P::State,
+        rng: &mut dyn rand::RngCore,
+    ) -> (P::State, P::State) {
+        self.0.transition(a, b, rng)
+    }
+    fn is_null(&self, a: &P::State, b: &P::State) -> bool {
+        self.0.is_null(a, b)
+    }
+    fn deterministic_transitions(&self) -> bool {
+        self.0.deterministic_transitions()
+    }
+}
+
+impl<P: EnumerableProtocol> EnumerableProtocol for Dense<P> {
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn state_index(&self, s: &P::State) -> usize {
+        self.0.state_index(s)
+    }
+    fn state_from_index(&self, i: usize) -> P::State {
+        self.0.state_from_index(i)
+    }
+}
+
 /// A protocol whose transition conserves the sum of all states: useful for
 /// checking that the simulator applies transitions to exactly the scheduled
 /// pair and nobody else.
@@ -165,7 +204,7 @@ proptest! {
         // u64, so non-negativity rides on the sum staying exact), and the
         // incrementally repaired pair weight matches a from-scratch rebuild.
         let mut indexed = BatchedSimulation::new(protocol, &init, seed);
-        let mut dense = BatchedSimulation::new(ForceDense(protocol), &init, seed);
+        let mut dense = BatchedSimulation::new(Dense(protocol), &init, seed);
         // Interned backend: same burst, plus the row-weight audit.
         let mut interned = InternedSimulation::new(AsInterned(protocol), &init, seed);
         for _ in 0..2 {
@@ -193,8 +232,13 @@ proptest! {
             );
             prop_assert_eq!(
                 dense.active_pairs(),
-                BatchedSimulation::new(ForceDense(protocol), &dense.to_configuration(), 0)
+                BatchedSimulation::new(Dense(protocol), &dense.to_configuration(), 0)
                     .active_pairs()
+            );
+            prop_assert_eq!(
+                dense.recount_active_pairs(),
+                dense.active_pairs(),
+                "dense incremental rows diverged from the recount after the burst"
             );
             prop_assert_eq!(
                 interned.recount_active_pairs(),
@@ -225,7 +269,7 @@ proptest! {
 
         let mut indexed = BatchedSimulation::new(protocol, &init, seed)
             .with_sampling_mode(SamplingMode::BatchCount);
-        let mut dense = BatchedSimulation::new(ForceDense(protocol), &init, seed)
+        let mut dense = BatchedSimulation::new(Dense(protocol), &init, seed)
             .with_sampling_mode(SamplingMode::BatchCount);
         let mut interned = InternedSimulation::new(AsInterned(protocol), &init, seed)
             .with_sampling_mode(SamplingMode::BatchCount);
@@ -257,8 +301,13 @@ proptest! {
             prop_assert_eq!(indexed.is_silent(), rebuilt.is_silent());
             prop_assert_eq!(
                 dense.active_pairs(),
-                BatchedSimulation::new(ForceDense(protocol), &dense.to_configuration(), 0)
+                BatchedSimulation::new(Dense(protocol), &dense.to_configuration(), 0)
                     .active_pairs()
+            );
+            prop_assert_eq!(
+                dense.recount_active_pairs(),
+                dense.active_pairs(),
+                "dense incremental rows diverged from the recount after batch-count epochs"
             );
             prop_assert_eq!(
                 interned.recount_active_pairs(),
@@ -389,7 +438,7 @@ proptest! {
         let mut indexed = BatchedSimulation::new(protocol, &init, seed);
         let mut rated =
             BatchedSimulation::try_new_scheduled(protocol, &init, seed, &weighted).unwrap();
-        let mut dense = BatchedSimulation::new(ForceDense(protocol), &init, seed);
+        let mut dense = BatchedSimulation::new(Dense(protocol), &init, seed);
         let mut interned = InternedSimulation::new(AsInterned(protocol), &init, seed);
         for _ in 0..2 {
             indexed.run_for(steps);
@@ -437,8 +486,13 @@ proptest! {
             );
             prop_assert_eq!(
                 dense.active_pairs(),
-                BatchedSimulation::new(ForceDense(resized), &dense.to_configuration(), 0)
+                BatchedSimulation::new(Dense(resized), &dense.to_configuration(), 0)
                     .active_pairs()
+            );
+            prop_assert_eq!(
+                dense.recount_active_pairs(),
+                dense.active_pairs(),
+                "dense incremental rows diverged from the recount after churn"
             );
             prop_assert_eq!(
                 interned.recount_active_pairs(),

@@ -133,7 +133,7 @@ impl Protocol for Epidemic {
 
 /// Two states (susceptible = 0, infected = 1); a pair is non-null exactly
 /// when the two statuses differ, so each state's only interaction partner is
-/// the other one and the batched engine runs on its indexed backend.
+/// the other one and the batched engine runs it on partner rows.
 impl EnumerableProtocol for Epidemic {
     fn num_states(&self) -> usize {
         2

@@ -378,9 +378,9 @@ impl OptimalSilentSsr {
 ///
 /// Unsettled and resetting states interact non-trivially with *every* state
 /// (timers tick on each interaction), so there is no sparse partner
-/// structure; the batched engine uses its dense present-scan backend, which
-/// still wins whenever the population idles in a mostly-settled
-/// configuration (e.g. waiting for the last rank collision to be noticed).
+/// structure; the count engine runs it on present-set rows, which still win
+/// whenever the population idles in a mostly-settled configuration (e.g.
+/// waiting for the last rank collision to be noticed).
 impl EnumerableProtocol for OptimalSilentSsr {
     fn num_states(&self) -> usize {
         let n = self.params.n;

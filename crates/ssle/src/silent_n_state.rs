@@ -237,8 +237,9 @@ impl RankingProtocol for SilentNStateSsr {
 
 /// The batched engine's favourite protocol: `n` states indexed by rank, and a
 /// transition that is non-null only on *equal* ranks, so each state's only
-/// interaction partner is itself. This unlocks the O(log n)-per-transition
-/// indexed backend, which is what makes `n = 10⁵..10⁶` silences simulable.
+/// interaction partner is itself. This unlocks the count engine's
+/// O(log n)-per-transition partner rows, which is what makes
+/// `n = 10⁵..10⁶` silences simulable.
 impl EnumerableProtocol for SilentNStateSsr {
     fn num_states(&self) -> usize {
         self.n

@@ -16,6 +16,45 @@ use rand_chacha::ChaCha8Rng;
 use ssle::params::{OptimalSilentParams, SublinearParams};
 use ssle::{OptimalSilentSsr, SilentNStateSsr, SilentRank, SublinearTimeSsr};
 
+/// Hides an enumerable protocol's partner lists (`interaction_partners`
+/// stays `None`), so the count engine runs it on present-set rows: the dense
+/// enumerable path.
+#[derive(Clone, Copy, Debug)]
+struct Dense<P>(P);
+
+impl<P: Protocol> Protocol for Dense<P> {
+    type State = P::State;
+    fn population_size(&self) -> usize {
+        self.0.population_size()
+    }
+    fn transition(
+        &self,
+        a: &P::State,
+        b: &P::State,
+        rng: &mut dyn rand::RngCore,
+    ) -> (P::State, P::State) {
+        self.0.transition(a, b, rng)
+    }
+    fn is_null(&self, a: &P::State, b: &P::State) -> bool {
+        self.0.is_null(a, b)
+    }
+    fn deterministic_transitions(&self) -> bool {
+        self.0.deterministic_transitions()
+    }
+}
+
+impl<P: EnumerableProtocol> EnumerableProtocol for Dense<P> {
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn state_index(&self, s: &P::State) -> usize {
+        self.0.state_index(s)
+    }
+    fn state_from_index(&self, i: usize) -> P::State {
+        self.0.state_from_index(i)
+    }
+}
+
 const BUDGET: u64 = u64::MAX >> 8;
 
 /// Multiset of rank counts, for order-insensitive comparison.
@@ -131,8 +170,8 @@ proptest! {
         prop_assert_eq!(batched.outcome.interactions, Interactions::ZERO);
     }
 
-    // Backend equivalence: the batched engine's Indexed (Fenwick) and
-    // PresentScan (dense) backends agree on the non-null pair weight and the
+    // Row-structure equivalence: the count engine's partner rows (indexed)
+    // and present-set rows (dense) agree on the non-null pair weight and the
     // silence verdict on matching configurations drawn from every adversarial
     // scenario family, and both match the exact engine's silence check.
     #[test]
@@ -144,7 +183,7 @@ proptest! {
             let protocol = SilentNStateSsr::new(n);
             let init = scenario.configuration(&protocol, seed);
             let indexed = BatchedSimulation::new(protocol, &init, seed);
-            let dense = BatchedSimulation::new(ForceDense(protocol), &init, seed);
+            let dense = BatchedSimulation::new(Dense(protocol), &init, seed);
             prop_assert_eq!(
                 indexed.active_pairs(),
                 dense.active_pairs(),
@@ -171,7 +210,7 @@ proptest! {
         sim.run_for(steps);
         let mid = sim.configuration().clone();
         let indexed = BatchedSimulation::new(protocol, &mid, seed);
-        let dense = BatchedSimulation::new(ForceDense(protocol), &mid, seed);
+        let dense = BatchedSimulation::new(Dense(protocol), &mid, seed);
         prop_assert_eq!(indexed.active_pairs(), dense.active_pairs());
         prop_assert_eq!(indexed.is_silent(), dense.is_silent());
         prop_assert_eq!(indexed.is_silent(), sim.is_silent());
@@ -189,7 +228,7 @@ proptest! {
         let scenario = &scenarios[(seed % scenarios.len() as u64) as usize];
         let protocol = SilentNStateSsr::new(n);
         let init = scenario.configuration(&protocol, seed);
-        let mut dense = BatchedSimulation::new(ForceDense(protocol), &init, seed);
+        let mut dense = BatchedSimulation::new(Dense(protocol), &init, seed);
         prop_assert!(dense.run_until_silent(BUDGET).is_silent());
         prop_assert!(protocol.is_correctly_ranked(&dense.to_configuration()));
     }
@@ -232,11 +271,11 @@ proptest! {
         prop_assert!(protocol.is_correctly_ranked(&interned.final_config));
     }
 
-    // All three batched backends — indexed (Fenwick), present-scan, interned
-    // — agree on the non-null pair weight and the silence verdict on
-    // matching configurations from every adversarial scenario family, and
-    // the interned backend's incrementally maintained weight survives a
-    // from-scratch audit.
+    // All three count-engine routes — static keys on partner rows, static
+    // keys on present-set rows, interned keys — agree on the non-null pair
+    // weight and the silence verdict on matching configurations from every
+    // adversarial scenario family, and the interned backend's incrementally
+    // maintained weight survives a from-scratch audit.
     #[test]
     fn all_three_batched_backends_agree_on_scenario_families(
         n in 4usize..24,
@@ -246,7 +285,7 @@ proptest! {
             let protocol = SilentNStateSsr::new(n);
             let init = scenario.configuration(&protocol, seed);
             let indexed = BatchedSimulation::new(protocol, &init, seed);
-            let dense = BatchedSimulation::new(ForceDense(protocol), &init, seed);
+            let dense = BatchedSimulation::new(Dense(protocol), &init, seed);
             let interned = InternedSimulation::new(AsInterned(protocol), &init, seed);
             prop_assert_eq!(
                 indexed.active_pairs(),

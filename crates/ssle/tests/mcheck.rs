@@ -120,14 +120,25 @@ fn optimal_silent_exact_time_matches_the_exact_engine() {
     let exact = expected_silence_time_exact(protocol, &config, &MCheckOptions::default()).unwrap();
     let samples = exact_engine_silence_times(protocol, &config);
     assert_mean_matches_exact(&samples, exact.expected_interactions, "optimal-silent all-rank-2");
+    // The count engine runs this dense protocol on present-set rows.
+    let samples = count_engine_silence_times(protocol, &config, Engine::Batched);
+    assert_mean_matches_exact(
+        &samples,
+        exact.expected_interactions,
+        "optimal-silent all-rank-2 on the batched engine",
+    );
 }
 
-/// 200 batch-count-engine silence times (in interactions) from one
-/// configuration: the epoch clock (negative-binomial elapsed draws) must
-/// reproduce the absorbing chain's expected interaction counts, not just the
-/// per-transition engines' — this is the distribution-level acceptance test
-/// for the `BatchCount` clock.
-fn batchcount_engine_silence_times<P>(protocol: P, config: &Configuration<P::State>) -> Vec<f64>
+/// 200 count-engine silence times (in interactions) from one configuration.
+/// Under [`Engine::BatchedCounts`] the epoch clock (negative-binomial elapsed
+/// draws) must reproduce the absorbing chain's expected interaction counts,
+/// not just the per-transition engines' — this is the distribution-level
+/// acceptance test for the `BatchCount` clock.
+fn count_engine_silence_times<P>(
+    protocol: P,
+    config: &Configuration<P::State>,
+    engine: Engine,
+) -> Vec<f64>
 where
     P: ppsim::EnumerableProtocol + Clone + Send + Sync,
     P::State: Clone + Send + Sync,
@@ -135,7 +146,7 @@ where
     let plan = TrialPlan::new(200, 0xBC5EED);
     run_trials(&plan, |_, seed| {
         let report = RunSpec::new(protocol.clone())
-            .engine(Engine::BatchedCounts)
+            .engine(engine)
             .budget(u64::MAX >> 8)
             .init(config.clone())
             .seed(seed)
@@ -163,7 +174,7 @@ fn silent_n_state_batchcount_times_match_the_exact_expectation() {
             let config = scenario.configuration(&protocol, 0x2217);
             let exact =
                 expected_silence_time_exact(protocol, &config, &MCheckOptions::default()).unwrap();
-            let samples = batchcount_engine_silence_times(protocol, &config);
+            let samples = count_engine_silence_times(protocol, &config, Engine::BatchedCounts);
             assert_mean_matches_exact(
                 &samples,
                 exact.expected_interactions,

@@ -9,11 +9,11 @@
 //!    the pre-refactor engines (seed for seed) and the scheduled runs must
 //!    reproduce them exactly.
 //! 2. **`WeightedPairs` simulates one law on every backend.** The exact
-//!    per-agent engine, the indexed (Fenwick) and present-scan count
-//!    backends, and the dynamically interned backend consume randomness
-//!    differently, so their per-seed trajectories differ — but the silence
-//!    *distributions* must agree, checked on means within the repo's
-//!    1.5·t·SE allowance at n ∈ {8, 32, 128}.
+//!    per-agent engine and the count engine (static keys on partner rows,
+//!    "indexed", and on present-set rows, "dense"; interned keys) consume
+//!    randomness differently, so their per-seed trajectories differ — but
+//!    the silence *distributions* must agree, checked on means within the
+//!    repo's 1.5·t·SE allowance at n ∈ {8, 32, 128}.
 //! 3. **The weighted model checker predicts the weighted engines.** The
 //!    Gauss–Seidel solver under a pair measure must match 200-trial
 //!    count-engine means at n ∈ {2, 3, 4} within 1.5·t·SE.
@@ -21,6 +21,45 @@
 use analysis::t_quantile_975;
 use processes::LeaderState;
 use ssle_pp::prelude::*;
+
+/// Hides an enumerable protocol's partner lists (`interaction_partners`
+/// stays `None`), so the count engine runs it on present-set rows: the dense
+/// enumerable path.
+#[derive(Clone, Copy, Debug)]
+struct Dense<P>(P);
+
+impl<P: Protocol> Protocol for Dense<P> {
+    type State = P::State;
+    fn population_size(&self) -> usize {
+        self.0.population_size()
+    }
+    fn transition(
+        &self,
+        a: &P::State,
+        b: &P::State,
+        rng: &mut dyn rand::RngCore,
+    ) -> (P::State, P::State) {
+        self.0.transition(a, b, rng)
+    }
+    fn is_null(&self, a: &P::State, b: &P::State) -> bool {
+        self.0.is_null(a, b)
+    }
+    fn deterministic_transitions(&self) -> bool {
+        self.0.deterministic_transitions()
+    }
+}
+
+impl<P: EnumerableProtocol> EnumerableProtocol for Dense<P> {
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn state_index(&self, s: &P::State) -> usize {
+        self.0.state_index(s)
+    }
+    fn state_from_index(&self, i: usize) -> P::State {
+        self.0.state_from_index(i)
+    }
+}
 
 const BUDGET: u64 = u64::MAX >> 8;
 
@@ -140,7 +179,7 @@ fn weighted_silence_distributions_agree_across_all_four_backends() {
                     "indexed" => spec(frat).engine(Engine::Batched).run_one().unwrap().outcome,
                     "dense" => {
                         let mut sim = BatchedSimulation::try_new_scheduled(
-                            ForceDense(frat),
+                            Dense(frat),
                             &init,
                             seed,
                             &scheduler,

@@ -27,9 +27,10 @@
 //!   explore the reachable closure of an initial configuration (a sparse,
 //!   hash-indexed subset of the lattice — usually far smaller) and solve the
 //!   absorbing-chain linear system `E[c] = n(n−1)/A(c) + Σ_m (w_m/A(c))·
-//!   E[succ_m(c)]` by Gauss–Seidel iteration in silence-distance order. The
-//!   `n(n−1)/A(c)` term marginalizes the geometrically distributed null runs
-//!   exactly, the same identity the batched engine samples from. The result
+//!   E[succ_m(c)]` by BiCGSTAB preconditioned with a Gauss–Seidel sweep in
+//!   silence-distance order (see `solve.rs`). The `n(n−1)/A(c)` term
+//!   marginalizes the geometrically distributed null runs exactly, the same
+//!   identity the batched engine samples from. The result
 //!   cross-validates both the simulators and the closed forms of
 //!   `analysis::theory` — e.g. the `(n−1)·C(n,2)` worst-case bound of
 //!   Theorem 2.4 is reproduced to machine precision.
@@ -115,6 +116,7 @@
 //! assert!((exact.expected_interactions - 16.0).abs() < 1e-9);
 //! ```
 
+mod solve;
 mod store;
 
 use std::collections::hash_map::Entry;
@@ -164,9 +166,13 @@ pub struct MCheckOptions {
     /// to grow beyond this many configurations (orbit representatives when
     /// the symmetry quotient is active).
     pub max_reachable: usize,
-    /// Relative convergence tolerance of the Gauss–Seidel solve.
+    /// Convergence tolerance of the expected-silence-time solve: a bound on
+    /// the true relative residual `‖τ − (I − P)·x‖₂ / ‖τ‖₂` of the returned
+    /// expectations, recomputed from them before the solve returns.
     pub tolerance: f64,
-    /// Sweep budget of the Gauss–Seidel solve.
+    /// Budget of the expected-silence-time solve, in passes over the
+    /// successor edges: every preconditioner sweep, matrix-vector product
+    /// and residual check is one pass.
     pub max_sweeps: usize,
     /// Whether to quotient the configuration space by the protocol's
     /// declared [`StateSymmetry`] (validated, never trusted). Only the
@@ -231,13 +237,19 @@ pub enum MCheckError {
         /// Responder state index.
         j: usize,
     },
+    /// A rate-weighted pair measure of some reachable configuration (a
+    /// pair term `rate · c_i · c_j`, a successor's accumulated weight, the
+    /// active measure `A(c)` or the total measure `W(c)`) overflows `u64`.
+    /// Rates are relative, so scaling them down leaves the chain unchanged.
+    WeightOverflow,
     /// A state reachable from the requested initial configuration cannot
     /// reach silence, so the expected silence time is infinite.
     NonConvergent,
-    /// The Gauss–Seidel solve did not meet the tolerance within the sweep
-    /// budget.
+    /// The expected-silence-time solve spent its pass budget
+    /// ([`MCheckOptions::max_sweeps`]) without meeting the tolerance.
     NotConverged {
-        /// Residual (maximum relative update) after the final sweep.
+        /// The latest relative residual `‖τ − (I − P)·x‖₂ / ‖τ‖₂` (the
+        /// solver's running estimate; infinite if no pass ran).
         residual: f64,
     },
     /// The requested scheduler distinguishes individual agents (e.g. a
@@ -303,7 +315,10 @@ impl fmt::Display for MCheckError {
                 )
             }
             MCheckError::NotConverged { residual } => {
-                write!(f, "linear solve stalled at residual {residual:e}")
+                write!(f, "linear solve spent its pass budget at residual {residual:e}")
+            }
+            MCheckError::WeightOverflow => {
+                write!(f, "a weighted pair measure overflows u64; scale the rates down")
             }
             MCheckError::SchedulerNeedsIdentities { scheduler } => write!(
                 f,
@@ -1509,7 +1524,10 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
                 Some(r) => match r.rate(i as usize, j as usize).checked_mul(w) {
                     Some(0) => return, // rate-0 pair: never scheduled
                     Some(w) => w,
-                    None => panic!("weighted pair term overflows u64; scale the rates down"),
+                    None => {
+                        error = Some(MCheckError::WeightOverflow);
+                        return;
+                    }
                 },
             };
             // Lump the successor onto its orbit representative: weights of
@@ -1524,7 +1542,10 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
             };
             match intern(target, &mut store, &mut index, &mut frontier, &mut cmp) {
                 Ok(t) => match local.iter_mut().find(|(s, _)| *s == t) {
-                    Some((_, acc)) => *acc += w,
+                    Some((_, acc)) => match acc.checked_add(w) {
+                        Some(sum) => *acc = sum,
+                        None => error = Some(MCheckError::WeightOverflow),
+                    },
                     None => local.push((t, w)),
                 },
                 Err(e) => error = Some(e),
@@ -1533,7 +1554,10 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
         if let Some(e) = error {
             return Err(e);
         }
-        let a: u64 = local.iter().map(|&(_, w)| w).sum();
+        let a = local
+            .iter()
+            .try_fold(0u64, |a, &(_, w)| a.checked_add(w))
+            .ok_or(MCheckError::WeightOverflow)?;
         debug_assert!(
             rates.is_some() || a == checker.active_pairs(&counts, &present),
             "uniform edge weights sum to the active-pair count"
@@ -1544,7 +1568,9 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
             for (dst, &c) in counts64.iter_mut().zip(counts.iter()) {
                 *dst = c as u64;
             }
-            let w = r.total_weight(&counts64, total_pairs);
+            let w = r
+                .checked_total_weight(&counts64, total_pairs)
+                .ok_or(MCheckError::WeightOverflow)?;
             debug_assert!(a <= w, "active pair weight is bounded by the total measure");
             totals.push(w);
         }
@@ -1565,9 +1591,11 @@ pub struct ExactSilenceTime {
     /// Size of the reachable closure the system was solved on (orbit
     /// representatives when the symmetry quotient was active).
     pub states: usize,
-    /// Gauss–Seidel sweeps used.
+    /// Passes over the successor edges the solve used (preconditioner
+    /// sweeps, matrix-vector products and residual checks).
     pub sweeps: usize,
-    /// Final residual (maximum relative update of the last sweep).
+    /// True relative residual `‖τ − (I − P)·x‖₂ / ‖τ‖₂` of the returned
+    /// expectations, at most [`MCheckOptions::tolerance`].
     pub residual: f64,
     /// Whether the closure was built on the symmetry quotient.
     pub quotient: bool,
@@ -1575,23 +1603,33 @@ pub struct ExactSilenceTime {
     /// its sweeps from the distance-ordered edge file.
     pub spilled: bool,
     /// The checker's slice of the unified counter registry:
-    /// frontier pops, spill bytes, and Gauss–Seidel sweeps.
+    /// frontier pops, spill bytes, and the solve's edge passes.
     pub counters: CounterBlock,
 }
 
 /// Solves for the **exact** expected number of interactions until silence
 /// from `init`: explores the reachable closure, verifies every reachable
 /// configuration can reach silence (else the expectation is infinite), and
-/// solves `E[c] = n(n−1)/A(c) + Σ_m (w_m/A(c))·E[succ_m(c)]` by Gauss–Seidel
-/// iteration in silence-distance order (exact in one sweep on cycle-free
-/// chains such as Theorem 2.4's worst-case path; geometrically convergent in
-/// general).
+/// solves `E[c] = n(n−1)/A(c) + Σ_m (w_m/A(c))·E[succ_m(c)]`.
+///
+/// Moves that leave the count vector unchanged are folded out, so the solve
+/// runs on `(I − P)·x = τ` with `P` the state-changing successor
+/// probabilities and `τ(c) = n(n−1) / (A(c) − self(c))`. The solver is
+/// BiCGSTAB, right-preconditioned by one Gauss–Seidel sweep in increasing
+/// distance to silence: four passes over the edges per iteration. A
+/// cycle-free chain such as Theorem 2.4's worst-case path is solved by the
+/// first preconditioner sweep (four passes in all, with the residual
+/// checks); a chain with a large strongly connected component, such as
+/// Optimal-Silent-SSR's, takes a few dozen iterations where plain
+/// Gauss–Seidel would take thousands of sweeps. The result's residual is the
+/// true relative residual, at most [`MCheckOptions::tolerance`].
 ///
 /// # Errors
 ///
 /// [`MCheckError::NonConvergent`] when some reachable configuration cannot
-/// reach silence, [`MCheckError::NotConverged`] when the sweep budget is
-/// exhausted, plus the errors of [`explore_reachable`].
+/// reach silence, [`MCheckError::NotConverged`] when the pass budget
+/// [`MCheckOptions::max_sweeps`] runs out first, plus the errors of
+/// [`explore_reachable`].
 pub fn expected_silence_time_exact<P: EnumerableProtocol>(
     protocol: P,
     init: &Configuration<P::State>,
@@ -1603,9 +1641,9 @@ pub fn expected_silence_time_exact<P: EnumerableProtocol>(
 
 /// [`expected_silence_time_exact`] with an attached [`TelemetrySink`]:
 /// records spans around the closure exploration (`closure.explore`), the
-/// distance-ordered spill copy (`spill.order`), and each Gauss–Seidel sweep
-/// (`solver.sweep`). With a [`TelemetrySink::Noop`] sink it is exactly
-/// [`expected_silence_time_exact`].
+/// distance-ordered spill copy (`spill.order`), and each pass of the solve
+/// over the edges (`solver.sweep`). With a [`TelemetrySink::Noop`] sink it
+/// is exactly [`expected_silence_time_exact`].
 pub fn expected_silence_time_probed<P: EnumerableProtocol>(
     protocol: P,
     init: &Configuration<P::State>,
@@ -1657,8 +1695,9 @@ pub fn expected_silence_time_scheduled<P: EnumerableProtocol>(
     solve_silence_time(&space, options, &mut TelemetrySink::default())
 }
 
-/// The shared Gauss–Seidel solve over an explored closure; see
-/// [`expected_silence_time_exact`] for the system and the sweep order.
+/// The shared solve over an explored closure: orders the states by distance
+/// to silence and runs the preconditioned BiCGSTAB of `solve.rs`; see
+/// [`expected_silence_time_exact`] for the system.
 fn solve_silence_time<P: EnumerableProtocol>(
     space: &ReachableSpace<P>,
     options: &MCheckOptions,
@@ -1669,54 +1708,17 @@ fn solve_silence_time<P: EnumerableProtocol>(
     if dist.contains(&u32::MAX) {
         return Err(MCheckError::NonConvergent);
     }
-    // Gauss–Seidel in increasing distance-to-silence order: states whose
-    // successors are (mostly) closer to absorption are updated after them,
-    // so value information flows backward from the absorbing states. A
-    // spilled store materializes one distance-ordered copy of the edge file
-    // so every sweep is a single sequential scan.
+    // Sweep in increasing distance-to-silence order, so the preconditioner's
+    // forward substitution carries value information backward from the
+    // absorbing states. A spilled store materializes one distance-ordered
+    // copy of the edge file so every pass is a single sequential scan.
     let mut order: Vec<u32> = (0..space.len() as u32).collect();
     order.sort_by_key(|&s| dist[s as usize]);
     sink.span_begin("spill.order");
     let sweeper = space.succ.ordered(&order).map_err(MCheckError::from_spill);
     sink.span_end("spill.order");
-    let sweeper = sweeper?;
-    let mut e = vec![0.0f64; space.len()];
-    let mut residual = f64::INFINITY;
-    let mut sweeps = 0usize;
-    while sweeps < options.max_sweeps {
-        sweeps += 1;
-        sink.span_begin("solver.sweep");
-        let mut sweep_residual = 0.0f64;
-        sweeper
-            .sweep(|s, edges| {
-                let a = space.active[s as usize];
-                if a == 0 {
-                    return;
-                }
-                let mut acc = space.total_weight_of(s as usize) / a as f64;
-                let mut self_weight = 0u64;
-                for &(t, w) in edges {
-                    if t == s {
-                        self_weight += w;
-                    } else {
-                        acc += w as f64 / a as f64 * e[t as usize];
-                    }
-                }
-                let value = acc / (1.0 - self_weight as f64 / a as f64);
-                let delta = (value - e[s as usize]).abs() / value.abs().max(1.0);
-                sweep_residual = sweep_residual.max(delta);
-                e[s as usize] = value;
-            })
-            .map_err(MCheckError::from_spill)?;
-        sink.span_end("solver.sweep");
-        residual = sweep_residual;
-        if residual <= options.tolerance {
-            break;
-        }
-    }
-    if residual > options.tolerance {
-        return Err(MCheckError::NotConverged { residual });
-    }
+    let (e, sweeps, residual) =
+        solve::bicgstab(space, sweeper?, options.tolerance, options.max_sweeps, sink)?;
     let mut counters = space.counters();
     counters.set(Counter::McheckGsSweeps, sweeps as u64);
     let start = e[0]; // seeds are interned first; a single seed is state 0.
@@ -2303,6 +2305,7 @@ mod tests {
             MCheckError::SchedulerNeedsIdentities { scheduler: "ring graph".to_owned() }
                 .to_string(),
             MCheckError::ZeroRateScheduler.to_string(),
+            MCheckError::WeightOverflow.to_string(),
             MCheckError::UnsoundSymmetry { detail: "generator 0 on pair (1, 2)".to_owned() }
                 .to_string(),
             MCheckError::SpillIo { detail: "disk full".to_owned() }.to_string(),
@@ -2367,6 +2370,25 @@ mod tests {
             "got {}",
             weighted.expected_interactions
         );
+    }
+
+    #[test]
+    fn overflowing_weighted_measures_are_a_typed_error() {
+        // Every pair term of the all-leader start overflows u64.
+        let huge = PairRates::new(u64::MAX / 2);
+        // Every pair term fits, but the null pairs of the silent successor
+        // (one leader, one follower) overflow its total measure W(c).
+        let null_heavy = PairRates::new(u64::MAX / 2 + 1).with_rate(0u8, 0u8, 1);
+        for (n, rates) in [(4, huge), (2, null_heavy)] {
+            let err = expected_silence_time_scheduled(
+                Frat { n },
+                &Configuration::uniform(0u8, n),
+                &InteractionScheduler::WeightedPairs(rates),
+                &MCheckOptions::default(),
+            )
+            .unwrap_err();
+            assert_eq!(err, MCheckError::WeightOverflow, "n = {n}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   self-deleting temp file once the resident estimate passes
 //!   `max_resident_bytes`. Offsets stay resident (8 bytes/state); edge
 //!   records are 12 bytes on disk. [`EdgeStore::ordered`] materializes a
-//!   sweep-ordered copy so each Gauss–Seidel sweep is one sequential scan.
+//!   sweep-ordered copy so each pass of the solve is one sequential scan.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};

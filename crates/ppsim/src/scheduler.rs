@@ -177,16 +177,23 @@ impl IndexRates {
     /// Panics if the measure overflows `u64` (rates are relative, so scaling
     /// them down never changes the schedule).
     pub(crate) fn total_weight(&self, counts: &[u64], total_pairs: u64) -> u64 {
-        let mut w = self.default as i128 * total_pairs as i128;
+        self.checked_total_weight(counts, total_pairs)
+            .expect("weighted pair measure overflows u64; scale the rates down")
+    }
+
+    /// [`IndexRates::total_weight`], or `None` if it overflows `u64`.
+    pub(crate) fn checked_total_weight(&self, counts: &[u64], total_pairs: u64) -> Option<u64> {
+        let mut w = (self.default as i128).checked_mul(total_pairs as i128)?;
         for &(i, j, r) in &self.overrides {
             if i >= counts.len() || j >= counts.len() {
                 continue;
             }
             let ci = counts[i] as i128;
             let cj = counts[j].saturating_sub((i == j) as u64) as i128;
-            w += (r as i128 - self.default as i128) * ci * cj;
+            let excess = (r as i128 - self.default as i128).checked_mul(ci)?.checked_mul(cj)?;
+            w = w.checked_add(excess)?;
         }
-        u64::try_from(w).expect("weighted pair measure overflows u64; scale the rates down")
+        u64::try_from(w).ok()
     }
 }
 

@@ -87,7 +87,7 @@ pub enum Counter {
     McheckFrontierPops = 16,
     /// Bytes of successor edges spilled to disk by the model checker.
     McheckSpillBytes = 17,
-    /// Gauss–Seidel sweeps of the expected-silence-time solve.
+    /// Passes over the successor edges of the expected-silence-time solve.
     McheckGsSweeps = 18,
 }
 

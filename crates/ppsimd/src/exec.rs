@@ -242,15 +242,24 @@ fn sim_err(err: SimError) -> WireError {
 }
 
 /// Maps a model-checker refusal onto the wire vocabulary. Capacity
-/// overruns and protocol/scheduler shapes the checker cannot handle are
-/// `unsupported` — the request was well-formed, the combination is simply
-/// beyond the exact oracle — and the Display form carries the capacity
-/// detail (lattice size vs guard). Only faults of the checker itself (a
-/// spill-store I/O error, a stalled solve) are `internal`.
+/// overruns, measures that overflow and protocol/scheduler shapes the
+/// checker cannot handle are `unsupported` — the request was well-formed,
+/// the combination is simply beyond the exact oracle — and the Display form
+/// carries the capacity detail (lattice size vs guard). Only faults of the
+/// checker itself are `internal`: a spill-store I/O error, or a solve that
+/// spent its pass budget without meeting the tolerance.
 fn mcheck_err(err: MCheckError) -> WireError {
     let kind = match &err {
         MCheckError::SpillIo { .. } | MCheckError::NotConverged { .. } => ErrorKind::Internal,
-        _ => ErrorKind::Unsupported,
+        MCheckError::SpaceTooLarge { .. }
+        | MCheckError::ReachableTooLarge { .. }
+        | MCheckError::RandomizedTransition { .. }
+        | MCheckError::UnsoundNull { .. }
+        | MCheckError::NonConvergent
+        | MCheckError::WeightOverflow
+        | MCheckError::SchedulerNeedsIdentities { .. }
+        | MCheckError::ZeroRateScheduler
+        | MCheckError::UnsoundSymmetry { .. } => ErrorKind::Unsupported,
     };
     WireError::new(kind, format!("model checker: {err}"))
 }

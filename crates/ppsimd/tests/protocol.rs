@@ -270,6 +270,24 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
     server.shutdown();
 }
 
+/// The exact oracle answers Optimal-Silent-SSR at n = 5, whose closure
+/// holds a giant strongly connected component, within the default solver
+/// budget.
+#[test]
+fn optimal_silent_n5_expectations_are_served() {
+    let server = small_server();
+    let mut client = Client::connect(&server);
+    let response = client.roundtrip(
+        r#"{"type":"expect","protocol":"optimal-silent","n":5,"scenario":"all-unsettled"}"#,
+    );
+    let Response::Ok { result, .. } = &response else {
+        panic!("expect should succeed: {response:?}");
+    };
+    let parallel = result.get("expected-parallel").and_then(Json::as_f64).expect("a number");
+    assert!((parallel - 694.8010349096).abs() <= 1e-9 * 694.8010349096, "got {parallel}");
+    server.shutdown();
+}
+
 #[test]
 fn blank_lines_are_skipped_not_answered() {
     let server = small_server();

@@ -262,7 +262,7 @@ proptest! {
 
 /// The streamed (spilled) solve is exact, not approximate: with a zero
 /// resident-edge budget every successor list spills to a temp file, the
-/// Gauss–Seidel sweeps stream from the distance-ordered edge file, and the
+/// solve's passes stream from the distance-ordered edge file, and the
 /// Lemma 4.2 closed form `(n − 1)²` must still come out to solver precision.
 /// The `spilled` flag in the report proves the disk path actually ran.
 #[test]

@@ -6,7 +6,7 @@
 use analysis::{t_quantile_975, Summary};
 use ppsim::mcheck::{
     check_fault_plan_closure, check_self_stabilization, check_self_stabilization_quotient,
-    expected_silence_time_exact, MCheckOptions,
+    expected_silence_time_exact, MCheckError, MCheckOptions,
 };
 use ppsim::{run_trials, Configuration, Engine, RunSpec, Simulation, TrialPlan};
 use proptest::prelude::*;
@@ -127,6 +127,50 @@ fn optimal_silent_exact_time_matches_the_exact_engine() {
         exact.expected_interactions,
         "optimal-silent all-rank-2 on the batched engine",
     );
+}
+
+/// Expected parallel silence times of Optimal-Silent-SSR under the mcheck
+/// timers, from subtraction-free (GTH) state elimination of the closure:
+/// `(n, scenario, E[T])`.
+const OPTIMAL_SILENT_PINS: [(usize, &str, f64); 5] = [
+    (5, "all-unsettled", 694.801034909644),
+    (4, "all-leader", 79.795859860384),
+    (4, "zero-leader", 79.905926359503),
+    (4, "all-unsettled", 78.709395533109),
+    (4, "near-silent-wrong", 80.680151861078),
+];
+
+/// Optimal-Silent's closures hold giant strongly connected components, the
+/// solve's hard case: the default options must reach the eliminated values
+/// to 1e-9 relative.
+#[test]
+fn optimal_silent_n4_and_n5_exact_times_are_pinned() {
+    for (n, name, pinned) in OPTIMAL_SILENT_PINS {
+        let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(n));
+        let scenario = OptimalSilentSsr::adversarial_scenarios()
+            .into_iter()
+            .find(|s| s.name() == name)
+            .expect("known scenario");
+        let config = scenario.configuration(&protocol, 0);
+        let exact = expected_silence_time_exact(protocol, &config, &MCheckOptions::default())
+            .unwrap_or_else(|e| panic!("n = {n} {name}: {e}"));
+        assert!(
+            (exact.expected_parallel - pinned).abs() <= 1e-9 * pinned,
+            "n = {n} {name}: {} vs pinned {pinned}",
+            exact.expected_parallel
+        );
+        assert!(exact.residual <= MCheckOptions::default().tolerance);
+    }
+}
+
+#[test]
+fn a_one_pass_budget_is_not_enough_at_n4() {
+    let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(4));
+    let options = MCheckOptions { max_sweeps: 1, ..MCheckOptions::default() };
+    let err =
+        expected_silence_time_exact(protocol, &protocol.all_unsettled_configuration(), &options)
+            .unwrap_err();
+    assert!(matches!(err, MCheckError::NotConverged { .. }), "got {err:?}");
 }
 
 /// 200 count-engine silence times (in interactions) from one configuration.

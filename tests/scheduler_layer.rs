@@ -15,7 +15,7 @@
 //!    the silence *distributions* must agree, checked on means within the
 //!    repo's 1.5·t·SE allowance at n ∈ {8, 32, 128}.
 //! 3. **The weighted model checker predicts the weighted engines.** The
-//!    Gauss–Seidel solver under a pair measure must match 200-trial
+//!    exact solver under a pair measure must match 200-trial
 //!    count-engine means at n ∈ {2, 3, 4} within 1.5·t·SE.
 
 use analysis::t_quantile_975;

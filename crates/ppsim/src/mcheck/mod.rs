@@ -137,7 +137,7 @@ use crate::telemetry::{Counter, CounterBlock, TelemetrySink};
 use crate::time::Interactions;
 use crate::trace::Trace;
 
-use store::{hash_counts, ConfigStore, EdgeStore, HashIndex};
+use store::{ConfigStore, EdgeStore, HashIndex};
 
 /// The per-protocol definition of a **correct** configuration — the target
 /// predicate the exhaustive verification proves every configuration reaches.
@@ -1081,15 +1081,14 @@ pub fn check_self_stabilization_quotient<P: EnumerableProtocol + CorrectnessOrac
     let mut store = ConfigStore::new(k);
     let mut index = HashIndex::new();
     let mut counts = vec![0u32; k];
-    let mut cmp = vec![0u32; k];
     lattice.first(&mut counts);
     loop {
         if symmetry.is_canonical(&counts) {
             if store.len() >= options.max_reachable {
                 return Err(MCheckError::ReachableTooLarge { limit: options.max_reachable });
             }
-            let id = store.push(&counts);
-            index.insert(hash_counts(&counts), id);
+            let hash = store.probe(&counts);
+            index.insert(hash, store.push_probe());
         }
         if !lattice.advance(&mut counts) {
             break;
@@ -1119,11 +1118,9 @@ pub fn check_self_stabilization_quotient<P: EnumerableProtocol + CorrectnessOrac
         checker.for_each_successor(&counts, &present, &mut scratch, |_, _, w, succ_counts| {
             canon.copy_from_slice(succ_counts);
             symmetry.canonicalize(&mut canon);
-            let t = index
-                .lookup(hash_counts(&canon), |cand| {
-                    store.get(cand, &mut cmp);
-                    cmp[..] == canon[..]
-                })
+            let hash = store.probe(&canon);
+            let t = store
+                .find_probe(&index, hash)
                 .expect("every canonical successor was enumerated in pass 1");
             match local.iter_mut().find(|(s, _)| *s == t) {
                 Some((_, acc)) => *acc += w,
@@ -1201,14 +1198,15 @@ pub fn check_self_stabilization_quotient<P: EnumerableProtocol + CorrectnessOrac
 }
 
 /// The compressed reachable closure of a seed set — the checker's default
-/// substrate. Count vectors live in a delta/varint `ConfigStore`, successor
+/// substrate. Count vectors live in a `ConfigStore` of sparse keys (each
+/// vector's present states as `(gap, count)` varint pairs), successor
 /// lists in a spillable `EdgeStore`, and when the protocol declares a
 /// nontrivial (validated) [`StateSymmetry`] and the scheduler is uniform,
 /// the states are canonical orbit representatives of the symmetry quotient,
 /// so the working set is proportional to reachable *orbits*.
 pub struct ReachableSpace<P: EnumerableProtocol> {
     checker: ModelChecker<P>,
-    /// Count vectors in discovery (BFS) order, delta/varint compressed.
+    /// Count vectors in discovery (BFS) order, one sparse varint key each.
     store: ConfigStore,
     /// CSR successor lists: per state, `(target, weight)` with weights
     /// summing to the state's active pair weight (rate-weighted under a
@@ -1471,26 +1469,20 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
     let mut active: Vec<u64> = Vec::new();
     let mut totals: Option<Vec<u64>> = rates.as_ref().map(|_| Vec::new());
     let mut frontier: VecDeque<u32> = VecDeque::new();
-    let mut cmp = vec![0u32; k];
 
     let intern = |counts: &[u32],
                   store: &mut ConfigStore,
                   index: &mut HashIndex,
-                  frontier: &mut VecDeque<u32>,
-                  cmp: &mut [u32]|
+                  frontier: &mut VecDeque<u32>|
      -> Result<u32, MCheckError> {
-        let hash = hash_counts(counts);
-        let found = index.lookup(hash, |id| {
-            store.get(id, cmp);
-            cmp[..] == counts[..]
-        });
-        if let Some(id) = found {
+        let hash = store.probe(counts);
+        if let Some(id) = store.find_probe(index, hash) {
             return Ok(id);
         }
         if store.len() >= options.max_reachable {
             return Err(MCheckError::ReachableTooLarge { limit: options.max_reachable });
         }
-        let id = store.push(counts);
+        let id = store.push_probe();
         index.insert(hash, id);
         frontier.push_back(id);
         Ok(id)
@@ -1501,7 +1493,7 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
         if quotient {
             checker.symmetry.canonicalize(&mut counts);
         }
-        intern(&counts, &mut store, &mut index, &mut frontier, &mut cmp)?;
+        intern(&counts, &mut store, &mut index, &mut frontier)?;
     }
     let mut scratch = vec![0u32; k];
     let mut canon = vec![0u32; k];
@@ -1540,7 +1532,7 @@ fn explore_reachable_with_rates<P: EnumerableProtocol>(
             } else {
                 succ_counts
             };
-            match intern(target, &mut store, &mut index, &mut frontier, &mut cmp) {
+            match intern(target, &mut store, &mut index, &mut frontier) {
                 Ok(t) => match local.iter_mut().find(|(s, _)| *s == t) {
                     Some((_, acc)) => match acc.checked_add(w) {
                         Some(sum) => *acc = sum,

@@ -3,15 +3,18 @@
 //!
 //! Three structures, all std-only:
 //!
-//! * [`ConfigStore`] — append-only store of count vectors, delta/varint
-//!   encoded in blocks of [`BLOCK`] with a per-block byte index. Successive
-//!   BFS discoveries differ in only four coordinates (two decrements, two
-//!   increments), so the zigzag-encoded deltas are almost all single bytes
-//!   and the store costs a few bytes per configuration instead of `4k`.
-//! * [`HashIndex`] — open-addressing map from a count vector's hash to its
-//!   dense id, confirming candidate hits by decoding the stored vector. This
-//!   replaces `HashMap<Box<[u32]>, u32>`, whose boxed keys dominated the old
-//!   explorer's memory.
+//! * [`ConfigStore`] — append-only store of count vectors, each kept as one
+//!   sparse *key*: the vector's present states as `(gap, count)` varint
+//!   pairs, with a per-vector byte offset so every key is directly
+//!   addressable. A configuration of `n` agents has at most `n` present
+//!   states, so a key is at most `2n` varints (a few bytes) however large the
+//!   state space `k` is. The encoding is canonical, so two vectors are equal
+//!   exactly when their keys are byte-equal — interning hashes and compares
+//!   keys without decoding anything.
+//! * [`HashIndex`] — open-addressing map from a key's hash to its dense id,
+//!   confirming candidate hits through a caller-supplied equality test
+//!   (byte equality of keys). This replaces `HashMap<Box<[u32]>, u32>`,
+//!   whose boxed keys dominated the old explorer's memory.
 //! * [`EdgeStore`] — CSR successor lists that transparently spill to a
 //!   self-deleting temp file once the resident estimate passes
 //!   `max_resident_bytes`. Offsets stay resident (8 bytes/state); edge
@@ -23,35 +26,27 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Count vectors per delta block; the first vector of each block is encoded
-/// absolutely, the rest as deltas against their predecessor.
-pub(crate) const BLOCK: usize = 32;
-
 /// Resident bytes charged per CSR edge (a `(u32, u64)` with padding).
 pub(crate) const EDGE_MEM_BYTES: usize = 16;
 
 /// Bytes per edge record on disk: `u32` target + `u64` weight, little-endian.
 const EDGE_DISK_BYTES: usize = 12;
 
-fn write_varint(bytes: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
+fn write_varint(bytes: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        bytes.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            bytes.push(b);
-            return;
-        }
-        bytes.push(b | 0x80);
     }
+    bytes.push(v as u8);
 }
 
-fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
+fn read_varint(bytes: &[u8], pos: &mut usize) -> u32 {
+    let mut v = 0u32;
     let mut shift = 0;
     loop {
         let b = bytes[*pos];
         *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
+        v |= u32::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
             return v;
         }
@@ -59,89 +54,35 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Append-only, block-indexed, delta/varint-compressed store of `k`-length
-/// count vectors, addressed by dense id in insertion order.
-pub(crate) struct ConfigStore {
-    k: usize,
-    len: usize,
-    bytes: Vec<u8>,
-    /// Byte offset of the start of each block of [`BLOCK`] vectors.
-    block_offsets: Vec<u64>,
-    /// The most recently pushed vector — the delta base for the next push.
-    prev: Vec<u32>,
-}
-
-impl ConfigStore {
-    pub(crate) fn new(k: usize) -> Self {
-        ConfigStore { k, len: 0, bytes: Vec::new(), block_offsets: Vec::new(), prev: vec![0; k] }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Compressed size in bytes (for capacity accounting and stats).
-    #[cfg(test)]
-    pub(crate) fn byte_len(&self) -> usize {
-        self.bytes.len() + self.block_offsets.len() * 8
-    }
-
-    /// Appends a vector, returning its id.
-    pub(crate) fn push(&mut self, counts: &[u32]) -> u32 {
-        debug_assert_eq!(counts.len(), self.k);
-        let id = self.len as u32;
-        if self.len.is_multiple_of(BLOCK) {
-            self.block_offsets.push(self.bytes.len() as u64);
-            for &c in counts {
-                write_varint(&mut self.bytes, u64::from(c));
-            }
-        } else {
-            for (&c, &p) in counts.iter().zip(self.prev.iter()) {
-                write_varint(&mut self.bytes, zigzag(i64::from(c) - i64::from(p)));
-            }
-        }
-        self.prev.copy_from_slice(counts);
-        self.len += 1;
-        id
-    }
-
-    /// Decodes vector `id` into `out` (length `k`): binary-search-free block
-    /// lookup via the offset index, then at most [`BLOCK`] − 1 delta
-    /// applications.
-    pub(crate) fn get(&self, id: u32, out: &mut [u32]) {
-        debug_assert!((id as usize) < self.len);
-        debug_assert_eq!(out.len(), self.k);
-        let block = id as usize / BLOCK;
-        let mut pos = self.block_offsets[block] as usize;
-        for slot in out.iter_mut() {
-            *slot = read_varint(&self.bytes, &mut pos) as u32;
-        }
-        for _ in 0..(id as usize % BLOCK) {
-            for slot in out.iter_mut() {
-                let delta = unzigzag(read_varint(&self.bytes, &mut pos));
-                *slot = (i64::from(*slot) + delta) as u32;
-            }
+/// Appends the canonical sparse key of `counts` to `key`: for every nonzero
+/// coordinate in index order, the gap since the previous present index and
+/// the count, both as LEB128 varints.
+fn encode_key(counts: &[u32], key: &mut Vec<u8>) {
+    let mut next = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        if c != 0 {
+            write_varint(key, (i - next) as u32);
+            write_varint(key, c);
+            next = i + 1;
         }
     }
 }
 
-/// A 64-bit hash of a count vector: word-wise FNV-1a with a final
-/// Murmur-style avalanche so the low bits (used as the table index) are
-/// well mixed.
-pub(crate) fn hash_counts(counts: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in counts {
-        h ^= u64::from(c).wrapping_add(1);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A 64-bit hash of a key's bytes: eight bytes per multiply-rotate round,
+/// then a Murmur-style avalanche so the low bits (used as the table index)
+/// are well mixed.
+fn hash_key(key: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ key.len() as u64;
+    let mut chunks = key.chunks_exact(8);
+    for chunk in &mut chunks {
+        let w = u64::from_le_bytes(chunk.try_into().unwrap());
+        h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
     }
+    let mut tail = 0u64;
+    for (i, &b) in chunks.remainder().iter().enumerate() {
+        tail |= u64::from(b) << (8 * i);
+    }
+    h = (h ^ tail).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -149,11 +90,90 @@ pub(crate) fn hash_counts(counts: &[u32]) -> u64 {
     h ^ (h >> 33)
 }
 
+/// Append-only store of `k`-length count vectors as sparse, directly
+/// addressable keys (see the module docs), addressed by dense id in
+/// insertion order.
+///
+/// Interning goes through a reused *probe* key: [`ConfigStore::probe`]
+/// encodes a vector once and returns the key's hash,
+/// [`ConfigStore::find_probe`] confirms [`HashIndex`] hits by byte equality
+/// with stored keys, and [`ConfigStore::push_probe`] appends the probe on a
+/// miss.
+pub(crate) struct ConfigStore {
+    k: usize,
+    /// Concatenated keys; key `id` is `bytes[offsets[id]..offsets[id + 1]]`.
+    bytes: Vec<u8>,
+    /// Byte offset of every key, plus the end of the last; starts `[0]`.
+    offsets: Vec<u64>,
+    /// The key most recently encoded by [`ConfigStore::probe`].
+    probe: Vec<u8>,
+}
+
+impl ConfigStore {
+    pub(crate) fn new(k: usize) -> Self {
+        ConfigStore { k, bytes: Vec::new(), offsets: vec![0], probe: Vec::new() }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The stored key of vector `id`.
+    fn key(&self, id: u32) -> &[u8] {
+        let id = id as usize;
+        &self.bytes[self.offsets[id] as usize..self.offsets[id + 1] as usize]
+    }
+
+    /// Encodes `counts` (length `k`) as the probe key, returning its hash.
+    pub(crate) fn probe(&mut self, counts: &[u32]) -> u64 {
+        debug_assert_eq!(counts.len(), self.k);
+        self.probe.clear();
+        encode_key(counts, &mut self.probe);
+        hash_key(&self.probe)
+    }
+
+    /// The id whose stored key equals the probe key, looked up in `index`
+    /// under the probe's `hash`.
+    pub(crate) fn find_probe(&self, index: &HashIndex, hash: u64) -> Option<u32> {
+        index.lookup(hash, |id| self.key(id) == self.probe.as_slice())
+    }
+
+    /// Appends the probe key as the next vector, returning its id.
+    pub(crate) fn push_probe(&mut self) -> u32 {
+        let id = self.len() as u32;
+        self.bytes.extend_from_slice(&self.probe);
+        self.offsets.push(self.bytes.len() as u64);
+        id
+    }
+
+    /// Appends a vector, returning its id.
+    #[cfg(test)]
+    pub(crate) fn push(&mut self, counts: &[u32]) -> u32 {
+        self.probe(counts);
+        self.push_probe()
+    }
+
+    /// Decodes vector `id` into `out` (length `k`): zero-fills, then
+    /// scatters the key's `(gap, count)` pairs.
+    pub(crate) fn get(&self, id: u32, out: &mut [u32]) {
+        debug_assert!((id as usize) < self.len());
+        debug_assert_eq!(out.len(), self.k);
+        out.fill(0);
+        let key = self.key(id);
+        let (mut pos, mut next) = (0, 0);
+        while pos < key.len() {
+            let i = next + read_varint(key, &mut pos) as usize;
+            out[i] = read_varint(key, &mut pos);
+            next = i + 1;
+        }
+    }
+}
+
 const EMPTY: u32 = u32::MAX;
 
-/// Open-addressing (linear probing) index from vector hash to dense id.
+/// Open-addressing (linear probing) index from key hash to dense id.
 /// Collisions are confirmed by the caller through the `eq` callback, which
-/// decodes the stored vector with that id and compares.
+/// compares the stored key with that id against the probe.
 pub(crate) struct HashIndex {
     /// `(hash, id)` slots; `id == EMPTY` marks a free slot. Power-of-two
     /// length.
@@ -457,56 +477,182 @@ impl OrderedSweep<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn config_store_roundtrips_across_blocks() {
-        let k = 5;
-        let mut store = ConfigStore::new(k);
-        let vectors: Vec<Vec<u32>> = (0..3 * BLOCK + 7)
-            .map(|i| {
-                (0..k)
-                    .map(|j| ((i * 31 + j * 17) % 9) as u32 + if j == 0 { 1000 } else { 0 })
-                    .collect()
+    use proptest::prelude::*;
+
+    /// Bytes of the longest `u32` varint.
+    const MAX_VARINT: usize = 5;
+
+    /// A `k`-length vector drawn from `seed` (SplitMix64), mixing the cases
+    /// the encoding distinguishes: mostly zeros, one-byte counts, multi-byte
+    /// counts (≥ 128) and full-width words.
+    fn vector_from(seed: u64, k: usize) -> Vec<u32> {
+        let mut x = seed;
+        (0..k)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                match z % 8 {
+                    0..=3 => 0,
+                    4 | 5 => (z >> 8) as u32 % 128,
+                    6 => 128 + (z >> 8) as u32 % 100_000,
+                    _ => (z >> 32) as u32,
+                }
             })
-            .collect();
-        for (i, v) in vectors.iter().enumerate() {
-            assert_eq!(store.push(v), i as u32);
+            .collect()
+    }
+
+    /// Random vectors plus the edge cases: all-zero, leading and trailing
+    /// zeros around a lone nonzero, and all-nonzero multi-byte counts.
+    fn vectors(seeds: &[u64], k: usize) -> Vec<Vec<u32>> {
+        let mut vs: Vec<Vec<u32>> = seeds.iter().map(|&s| vector_from(s, k)).collect();
+        vs.push(vec![0; k]);
+        let mut lone = vec![0; k];
+        lone[k / 2] = 300;
+        vs.push(lone);
+        let mut last = vec![0; k];
+        last[k - 1] = 1;
+        vs.push(last);
+        vs.push((0..k as u32).map(|i| 128 + i * 1000).collect());
+        vs
+    }
+
+    fn present(v: &[u32]) -> usize {
+        v.iter().filter(|&&c| c != 0).count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn get_inverts_push_in_random_access_order(
+            k in 1usize..=64,
+            seeds in proptest::collection::vec(any::<u64>(), 1..40),
+            stride in 1usize..97,
+        ) {
+            let vs = vectors(&seeds, k);
+            let mut store = ConfigStore::new(k);
+            for (i, v) in vs.iter().enumerate() {
+                prop_assert_eq!(store.push(v), i as u32);
+            }
+            prop_assert_eq!(store.len(), vs.len());
+            let mut out = vec![u32::MAX; k];
+            // Visit every id once in a scrambled order (stride walk mod a
+            // prime larger than any length generated here).
+            let mut visited = 0;
+            for step in 0..101usize {
+                let i = step * stride % 101;
+                if i < vs.len() {
+                    store.get(i as u32, &mut out);
+                    prop_assert_eq!(&out, &vs[i], "vector {} roundtrips", i);
+                    visited += 1;
+                }
+            }
+            prop_assert_eq!(visited, vs.len());
         }
-        let mut out = vec![0u32; k];
-        // Random-access order, not insertion order.
-        for (i, v) in vectors.iter().enumerate().rev() {
-            store.get(i as u32, &mut out);
-            assert_eq!(&out, v, "vector {i} roundtrips");
+
+        #[test]
+        fn keys_are_equal_exactly_when_vectors_are(
+            k in 1usize..=64,
+            seeds in proptest::collection::vec(0u64..6, 2..24),
+        ) {
+            // Few distinct seeds, so many pairs repeat.
+            let vs = vectors(&seeds, k);
+            let mut store = ConfigStore::new(k);
+            for v in &vs {
+                store.push(v);
+            }
+            for (a, va) in vs.iter().enumerate() {
+                for (b, vb) in vs.iter().enumerate() {
+                    prop_assert_eq!(
+                        store.key(a as u32) == store.key(b as u32),
+                        va == vb,
+                        "vectors {} and {}",
+                        a,
+                        b
+                    );
+                }
+            }
         }
-        // Delta encoding actually compresses near-identical neighbours.
-        assert!(store.byte_len() < vectors.len() * k * 4);
+
+        #[test]
+        fn keys_are_sparse(
+            k in 1usize..=64,
+            seeds in proptest::collection::vec(any::<u64>(), 1..24),
+        ) {
+            let vs = vectors(&seeds, k);
+            let mut store = ConfigStore::new(k);
+            for (i, v) in vs.iter().enumerate() {
+                store.push(v);
+                let key = store.key(i as u32);
+                prop_assert!(key.len() <= 2 * present(v) * MAX_VARINT);
+                if v.iter().all(|&c| c < 128) {
+                    // One byte per count, and per gap (gaps are below k ≤ 64).
+                    prop_assert_eq!(key.len(), 2 * present(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn config_store_roundtrips_edge_cases() {
+        // The fixed edge cases at the smallest and largest tested widths.
+        for k in [1, 64] {
+            let vs = vectors(&[1, 2, 3], k);
+            let mut store = ConfigStore::new(k);
+            for v in &vs {
+                store.push(v);
+            }
+            let mut out = vec![7u32; k];
+            for (i, v) in vs.iter().enumerate().rev() {
+                store.get(i as u32, &mut out);
+                assert_eq!(&out, v, "k = {k}, vector {i} roundtrips");
+            }
+            // The all-zero vector is the empty key.
+            let zero = vs.iter().position(|v| v.iter().all(|&c| c == 0)).unwrap();
+            assert!(store.key(zero as u32).is_empty());
+        }
     }
 
     #[test]
     fn hash_index_distinguishes_collisions_by_content() {
         let mut store = ConfigStore::new(3);
         let mut index = HashIndex::new();
-        let mut buf = vec![0u32; 3];
         let vs: Vec<[u32; 3]> = (0..500).map(|i| [i, 2 * i + 1, i % 7]).collect();
         for v in &vs {
-            let h = hash_counts(v);
-            assert!(index
-                .lookup(h, |id| {
-                    store.get(id, &mut buf);
-                    buf == v
-                })
-                .is_none());
-            let id = store.push(v);
+            let h = store.probe(v);
+            assert!(store.find_probe(&index, h).is_none());
+            let id = store.push_probe();
             index.insert(h, id);
         }
         for (i, v) in vs.iter().enumerate() {
-            let h = hash_counts(v);
-            let found = index.lookup(h, |id| {
-                store.get(id, &mut buf);
-                buf == v
-            });
-            assert_eq!(found, Some(i as u32));
+            let h = store.probe(v);
+            assert_eq!(store.find_probe(&index, h), Some(i as u32));
         }
         assert_eq!(index.len(), vs.len());
+    }
+
+    #[test]
+    fn forced_equal_hashes_resolve_by_key_bytes() {
+        // Every vector filed under one hash: one probe chain, resolved only
+        // by comparing stored keys with the probe key.
+        const H: u64 = 0x5eed;
+        let mut store = ConfigStore::new(4);
+        let mut index = HashIndex::new();
+        let vs: Vec<[u32; 4]> = (0..200).map(|i| [i % 3, 0, i / 3, 130 * (i % 2)]).collect();
+        for v in &vs {
+            store.probe(v);
+            assert!(store.find_probe(&index, H).is_none());
+            index.insert(H, store.push_probe());
+        }
+        for (i, v) in vs.iter().enumerate() {
+            store.probe(v);
+            assert_eq!(store.find_probe(&index, H), Some(i as u32));
+        }
+        store.probe(&[9, 9, 9, 9]);
+        assert_eq!(store.find_probe(&index, H), None);
     }
 
     #[test]

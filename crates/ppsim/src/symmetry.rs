@@ -138,16 +138,16 @@ impl StateSymmetry {
                 }
             }
             StateSymmetry::SymmetricBlocks(blocks) => {
-                let mut scratch: Vec<u32> = Vec::new();
+                // Insertion sort of each block's counts through its index
+                // list, in place: blocks are tiny (pairs, in the ranking
+                // protocols) and this runs once per explored successor.
                 for block in blocks {
-                    if block.len() < 2 {
-                        continue;
-                    }
-                    scratch.clear();
-                    scratch.extend(block.iter().map(|&i| counts[i]));
-                    scratch.sort_unstable();
-                    for (&i, &c) in block.iter().zip(scratch.iter()) {
-                        counts[i] = c;
+                    for a in 1..block.len() {
+                        let mut j = a;
+                        while j > 0 && counts[block[j - 1]] > counts[block[j]] {
+                            counts.swap(block[j - 1], block[j]);
+                            j -= 1;
+                        }
                     }
                 }
             }
@@ -270,5 +270,30 @@ mod tests {
         let mut counts = [4, 1, 3];
         sym.canonicalize(&mut counts);
         assert_eq!(counts, [1, 3, 4]);
+    }
+
+    #[test]
+    fn unordered_blocks_canonicalize_every_orbit_member_alike() {
+        // A scattered, unsorted index list with a repeated count: every
+        // arrangement of the block's counts lands on one representative,
+        // sorted along the block's own index order.
+        let sym = StateSymmetry::SymmetricBlocks(vec![vec![5, 0, 3, 2], vec![4, 1]]);
+        let values = [3u32, 1, 3, 0];
+        let mut seen = 0;
+        for p in 0..4usize.pow(4) {
+            let perm: Vec<usize> = (0..4).map(|d| p / 4usize.pow(d) % 4).collect();
+            if (0..4).any(|d| perm[..d].contains(&perm[d])) {
+                continue;
+            }
+            let mut counts = [0u32, 6, 0, 0, 8, 0];
+            for (slot, &from) in [5, 0, 3, 2].iter().zip(&perm) {
+                counts[*slot] = values[from];
+            }
+            sym.canonicalize(&mut counts);
+            assert_eq!(counts, [1, 8, 3, 3, 6, 0]);
+            assert!(sym.is_canonical(&counts));
+            seen += 1;
+        }
+        assert_eq!(seen, 24);
     }
 }

@@ -5,8 +5,8 @@
 
 use analysis::{t_quantile_975, Summary};
 use ppsim::mcheck::{
-    check_fault_plan_closure, check_self_stabilization, check_self_stabilization_quotient,
-    expected_silence_time_exact, MCheckError, MCheckOptions,
+    check_convergence_from, check_fault_plan_closure, check_self_stabilization,
+    check_self_stabilization_quotient, expected_silence_time_exact, MCheckError, MCheckOptions,
 };
 use ppsim::{run_trials, Configuration, Engine, RunSpec, Simulation, TrialPlan};
 use proptest::prelude::*;
@@ -127,6 +127,23 @@ fn optimal_silent_exact_time_matches_the_exact_engine() {
         exact.expected_interactions,
         "optimal-silent all-rank-2 on the batched engine",
     );
+}
+
+/// The seeded Optimal-Silent closure (the repo benchmark's closure check,
+/// there at n = 6: 117,570 states, 17 silent) is pinned state for state:
+/// interning must neither merge distinct orbits nor split one.
+#[test]
+fn optimal_silent_seeded_closure_is_pinned_at_n5() {
+    let protocol = OptimalSilentSsr::new(OptimalSilentParams::mcheck(5));
+    let seeds = [
+        protocol.adversarial_all_same_rank(2),
+        protocol.all_unsettled_configuration(),
+        protocol.ranked_configuration(),
+    ];
+    let report = check_convergence_from(protocol, &seeds, &MCheckOptions::default()).unwrap();
+    assert_eq!(report.states, 14_551);
+    assert_eq!(report.silent, 8);
+    assert!(report.verified(), "witness {:?}", report.witness);
 }
 
 /// Expected parallel silence times of Optimal-Silent-SSR under the mcheck

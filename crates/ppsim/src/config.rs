@@ -86,6 +86,12 @@ impl<S> Configuration<S> {
         &self.states
     }
 
+    /// A mutable view of the underlying state slice (the count engines patch
+    /// their canonical views in place).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [S] {
+        &mut self.states
+    }
+
     /// Consumes the configuration, returning the underlying state vector.
     pub fn into_states(self) -> Vec<S> {
         self.states

@@ -34,6 +34,12 @@
 //!
 //! The run loops, the epoch sampler, the count-delta repair, the fault and
 //! churn hooks, the counters and the telemetry exist once, here.
+//!
+//! Where the engine meets per-agent [`Configuration`]s it works in bulk, not
+//! per agent: construction keys each run of equal adjacent states once,
+//! [`CountSimulation::to_configuration`] fills each state's whole count at
+//! once, and [`CountSimulation::run_until`] materializes its predicate's
+//! view once and then patches only the agents the net count changes name.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -302,6 +308,9 @@ pub struct CountSimulation<P, K> {
     /// clearing between epochs is free (lazily sized on first epoch).
     scratch_avail: Vec<u64>,
     scratch_stamp: Vec<u64>,
+    /// While [`CountSimulation::run_until`] runs: the net count deltas
+    /// applied since its view was last patched.
+    delta_log: Option<Vec<(usize, i64)>>,
 }
 
 impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
@@ -358,15 +367,19 @@ impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
             telemetry: TelemetrySink::Noop,
             scratch_avail: Vec::new(),
             scratch_stamp: Vec::new(),
+            delta_log: None,
         };
         sim.grow_tables();
-        for state in config.iter() {
-            let i = sim.key(state)?;
+        // One key lookup per run of equal adjacent states: a run's first
+        // agent is where the per-agent scan would first see its state, so key
+        // assignment order and the present list are the same either way.
+        for run in config.as_slice().chunk_by(|a, b| a == b) {
+            let i = sim.key(&run[0])?;
             if sim.counts[i] == 0 && sim.partners.is_none() {
                 sim.position[i] = sim.present.len();
                 sim.present.push(i);
             }
-            sim.counts[i] += 1;
+            sim.counts[i] += run.len() as u64;
         }
         sim.refresh_rows();
         Ok(sim)
@@ -577,8 +590,8 @@ impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
     pub fn to_configuration(&self) -> Configuration<P::State> {
         let mut states = Vec::with_capacity(self.n);
         for (i, &c) in self.counts.iter().enumerate() {
-            for _ in 0..c {
-                states.push(self.keys.state(i).clone());
+            if c > 0 {
+                states.resize(states.len() + c as usize, self.keys.state(i).clone());
             }
         }
         Configuration::from_states(states)
@@ -638,17 +651,35 @@ impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
     /// epoch, with epochs capped to `n/8` expected interactions so conditions
     /// are examined about as often as the exact engine examines them.
     ///
-    /// The predicate receives the canonical configuration, so any
-    /// permutation-invariant predicate written for the exact engine works
-    /// unchanged. Materializing it costs O(n) per non-null interaction; for
-    /// large-n workloads prefer [`CountSimulation::run_until_silent`] or a
-    /// count-based predicate via [`CountSimulation::run_until_counts`].
+    /// The predicate receives the canonical configuration, exactly what
+    /// [`CountSimulation::to_configuration`] would return at that point, so
+    /// any permutation-invariant predicate written for the exact engine
+    /// works unchanged. The run materializes it once and then patches it
+    /// from the net count changes: a check clones one state per agent whose
+    /// state changed and swaps one agent per run of equal states it shifts,
+    /// and falls back to a full rebuild whenever that would cost more, so no
+    /// check costs more than a fresh materialization. A count-based
+    /// predicate via [`CountSimulation::run_until_counts`] avoids the
+    /// per-agent view altogether.
     pub fn run_until(
         &mut self,
         mut condition: impl FnMut(&Configuration<P::State>) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        self.run_until_counts(|sim| condition(&sim.to_configuration()), budget)
+        let mut view = CanonicalView::new(self);
+        self.delta_log = Some(Vec::new());
+        let outcome = self.run_until_checked(
+            |sim| {
+                view.patch(sim);
+                if let Some(log) = &mut sim.delta_log {
+                    log.clear();
+                }
+                condition(&view.config)
+            },
+            budget,
+        );
+        self.delta_log = None;
+        outcome
     }
 
     /// Runs until `condition` holds for the simulation's multiset state,
@@ -659,7 +690,17 @@ impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
         mut condition: impl FnMut(&Self) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        if condition(self) {
+        self.run_until_checked(|sim| condition(sim), budget)
+    }
+
+    /// The loop behind [`Self::run_until`] and [`Self::run_until_counts`]:
+    /// `check` runs before the first step and after every advance.
+    fn run_until_checked(
+        &mut self,
+        mut check: impl FnMut(&mut Self) -> bool,
+        budget: u64,
+    ) -> RunOutcome {
+        if check(self) {
             return RunOutcome {
                 reason: StopReason::ConditionMet,
                 interactions: self.interactions,
@@ -678,7 +719,7 @@ impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
                     interactions: self.interactions,
                 };
             }
-            if condition(self) {
+            if check(self) {
                 return RunOutcome {
                     reason: StopReason::ConditionMet,
                     interactions: self.interactions,
@@ -1095,28 +1136,11 @@ impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
     /// count-independent) and rebuild only the changed states' own rows.
     fn apply_count_deltas(&mut self, deltas: &[(usize, i64)]) {
         // Net the deltas per state first (i may equal j, or a state may both
-        // lose and gain an agent in the same transition). Small lists — the
-        // per-transition path — net by linear scan; epoch-sized lists sort,
-        // which keeps the netting O(k log k) instead of O(k²).
-        let mut net: Vec<(usize, i64)> = Vec::with_capacity(deltas.len());
-        if deltas.len() <= 16 {
-            for &(k, d) in deltas {
-                match net.iter_mut().find(|(s, _)| *s == k) {
-                    Some((_, acc)) => *acc += d,
-                    None => net.push((k, d)),
-                }
-            }
-        } else {
-            let mut sorted = deltas.to_vec();
-            sorted.sort_unstable_by_key(|&(s, _)| s);
-            for (s, d) in sorted {
-                match net.last_mut() {
-                    Some((ls, acc)) if *ls == s => *acc += d,
-                    _ => net.push((s, d)),
-                }
-            }
+        // lose and gain an agent in the same transition).
+        let net = net_deltas(deltas);
+        if let Some(log) = &mut self.delta_log {
+            log.extend_from_slice(&net);
         }
-        net.retain(|&(_, d)| d != 0);
         for &(k, d) in &net {
             let c = self.counts[k] as i64 + d;
             debug_assert!(c >= 0, "state count went negative");
@@ -1287,6 +1311,161 @@ impl<P: Protocol, K: StateKeys<P>> CountSimulation<P, K> {
         match &self.rates {
             None => total_pairs,
             Some(r) => r.total_weight(&self.counts, total_pairs),
+        }
+    }
+}
+
+/// Nets signed count changes per state and drops the states whose changes
+/// cancel. Small lists — the per-transition path — net by linear scan in
+/// first-seen order; epoch-sized lists sort, which keeps the netting
+/// O(k log k) instead of O(k²).
+fn net_deltas(deltas: &[(usize, i64)]) -> Vec<(usize, i64)> {
+    let mut net: Vec<(usize, i64)> = Vec::with_capacity(deltas.len());
+    if deltas.len() <= 16 {
+        for &(k, d) in deltas {
+            match net.iter_mut().find(|(s, _)| *s == k) {
+                Some((_, acc)) => *acc += d,
+                None => net.push((k, d)),
+            }
+        }
+    } else {
+        let mut sorted = deltas.to_vec();
+        sorted.sort_unstable_by_key(|&(s, _)| s);
+        for (s, d) in sorted {
+            match net.last_mut() {
+                Some((ls, acc)) if *ls == s => *acc += d,
+                _ => net.push((s, d)),
+            }
+        }
+    }
+    net.retain(|&(_, d)| d != 0);
+    net
+}
+
+/// One run of equal states in a [`CanonicalView`]: the agents at
+/// `start..start + count` all hold the state with key `key`.
+#[derive(Clone, Copy, Debug)]
+struct ViewRun {
+    key: usize,
+    start: usize,
+    count: usize,
+}
+
+/// The per-agent configuration [`CountSimulation::run_until`] hands its
+/// predicate, kept equal to [`CountSimulation::to_configuration`] by
+/// patching rather than rebuilding.
+///
+/// In the canonical order each present state occupies one run, and the runs
+/// follow key order. Moving one agent from state `s` to state `t` opens a
+/// hole at the edge of `s`'s run that faces `t`, passes it across every run
+/// in between by one swap each (a run of equal states only needs its two
+/// ends exchanged to shift by one), and fills it with one clone of `t`.
+struct CanonicalView<S> {
+    config: Configuration<S>,
+    /// The runs in key order; every count is nonzero.
+    runs: Vec<ViewRun>,
+}
+
+impl<S: Clone> CanonicalView<S> {
+    fn new<P: Protocol<State = S>, K: StateKeys<P>>(sim: &CountSimulation<P, K>) -> Self {
+        let mut runs = Vec::new();
+        let mut start = 0;
+        for (key, &c) in sim.counts.iter().enumerate() {
+            if c > 0 {
+                runs.push(ViewRun { key, start, count: c as usize });
+                start += c as usize;
+            }
+        }
+        CanonicalView { config: sim.to_configuration(), runs }
+    }
+
+    /// Brings the view up to date with `sim` from the count deltas it logged
+    /// since the last patch (which leave the population size unchanged: the
+    /// view lives for one run, and neither churn nor faults act inside one).
+    /// Rebuilds instead when patching would touch more values than a
+    /// rebuild.
+    fn patch<P: Protocol<State = S>, K: StateKeys<P>>(&mut self, sim: &CountSimulation<P, K>) {
+        let net = net_deltas(sim.delta_log.as_deref().unwrap_or_default());
+        if net.is_empty() {
+            return;
+        }
+        // Pair the agents that left a state with the states they entered.
+        let mut sources = net.iter().filter(|&&(_, d)| d < 0).map(|&(k, d)| (k, d.unsigned_abs()));
+        let mut sinks = net.iter().filter(|&&(_, d)| d > 0).map(|&(k, d)| (k, d as u64));
+        let mut moves: Vec<(usize, usize, u64)> = Vec::new();
+        let (mut src, mut dst) = (sources.next(), sinks.next());
+        while let (Some((s, ds)), Some((t, dt))) = (src, dst) {
+            let k = ds.min(dt);
+            moves.push((s, t, k));
+            src = if ds > k { Some((s, ds - k)) } else { sources.next() };
+            dst = if dt > k { Some((t, dt - k)) } else { sinks.next() };
+        }
+        debug_assert!(src.is_none() && dst.is_none(), "nothing resizes the population mid-run");
+        // A rebuild clones n states and drops the n it replaces; the patch
+        // clones and drops one state per moved agent and makes one swap per
+        // run it crosses. Take whichever touches fewer values.
+        let rank = |key: usize| self.runs.partition_point(|r| r.key < key);
+        let patch_cost: u64 =
+            moves.iter().map(|&(s, t, k)| k * (rank(s).abs_diff(rank(t)) as u64 + 2)).sum();
+        if patch_cost > 2 * sim.n as u64 {
+            *self = Self::new(sim);
+            return;
+        }
+        for (s, t, k) in moves {
+            for _ in 0..k {
+                self.move_one(s, t, sim.keys.state(t));
+            }
+        }
+    }
+
+    /// Moves one agent from the run of key `s` to the run of key `t`.
+    fn move_one(&mut self, s: usize, t: usize, t_state: &S) {
+        let runs = &mut self.runs;
+        let states = self.config.as_mut_slice();
+        let mut i = runs.partition_point(|r| r.key < s);
+        debug_assert!(runs[i].key == s && runs[i].count > 0, "source run missing");
+        runs[i].count -= 1;
+        if s < t {
+            // The hole is the last slot of `s`; every run between shifts left.
+            let mut hole = runs[i].start + runs[i].count;
+            let mut j = i + 1;
+            while j < runs.len() && runs[j].key < t {
+                let last = runs[j].start + runs[j].count - 1;
+                states.swap(hole, last);
+                runs[j].start -= 1;
+                hole = last;
+                j += 1;
+            }
+            states[hole].clone_from(t_state);
+            if j < runs.len() && runs[j].key == t {
+                runs[j].start -= 1;
+                runs[j].count += 1;
+            } else {
+                runs.insert(j, ViewRun { key: t, start: hole, count: 1 });
+            }
+        } else {
+            // The hole is the first slot of `s`; every run between shifts
+            // right.
+            let mut hole = runs[i].start;
+            runs[i].start += 1;
+            let mut j = i;
+            while j > 0 && runs[j - 1].key > t {
+                j -= 1;
+                let first = runs[j].start;
+                states.swap(hole, first);
+                runs[j].start += 1;
+                hole = first;
+            }
+            states[hole].clone_from(t_state);
+            if j > 0 && runs[j - 1].key == t {
+                runs[j - 1].count += 1;
+            } else {
+                runs.insert(j, ViewRun { key: t, start: hole, count: 1 });
+                i += 1;
+            }
+        }
+        if runs[i].count == 0 {
+            runs.remove(i);
         }
     }
 }

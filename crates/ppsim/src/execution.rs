@@ -495,11 +495,13 @@ impl<P: Protocol> Simulation<P> {
         let counts = self.config.state_counts();
         let states: Vec<&P::State> = counts.keys().collect();
         let cost = (states.len() * states.len()) as u64;
+        // Same-state pairs first: O(d) queries that often settle the answer
+        // before the O(d²) distinct-pair scan.
+        if states.iter().any(|&s| counts[s] >= 2 && active(s, s)) {
+            return (false, cost);
+        }
         for (i, &s) in states.iter().enumerate() {
-            for (offset, &t) in states[i..].iter().enumerate() {
-                if offset == 0 && counts[s] < 2 {
-                    continue;
-                }
+            for &t in &states[i + 1..] {
                 if active(s, t) || active(t, s) {
                     return (false, cost);
                 }
@@ -549,11 +551,16 @@ impl<P: Protocol> Simulation<P> {
     /// The silence check costs O(distinct²) null-transition queries, so the
     /// check interval is scaled with the number of distinct states present,
     /// keeping the check overhead proportional to the stepping work itself.
+    /// A chunk that changed the configuration is not checked: a silent
+    /// configuration makes the next chunk quiet, and that chunk is checked.
+    /// The last chunk before the budget runs out is always checked, so a run
+    /// that falls silent at the budget edge still reports silence.
+    ///
     /// The reported silence time is nevertheless **exact**: silence is only
-    /// *detected* up to one check interval late, but it is *reported* at the
-    /// last interaction that changed the configuration — the configuration
-    /// has been silent ever since, and trailing null interactions cannot have
-    /// changed it.
+    /// *detected* up to two check intervals late, but it is *reported* at
+    /// the last interaction that changed the configuration — the
+    /// configuration has been silent ever since, and trailing null
+    /// interactions cannot have changed it.
     pub fn run_until_silent(&mut self, budget: u64) -> RunOutcome {
         self.counters.incr(Counter::SilenceChecks);
         let (silent, mut cost) = self.is_silent_with_cost();
@@ -567,12 +574,16 @@ impl<P: Protocol> Simulation<P> {
         while executed < budget {
             let check_interval = self.default_check_interval().max(cost / 16);
             let chunk = check_interval.min(budget - executed);
+            let changed_before = self.last_change;
             for _ in 0..chunk {
                 self.step();
             }
             executed += chunk;
             if self.telemetry.probe_due(self.interactions.count()) {
                 self.record_probe_now();
+            }
+            if self.last_change != changed_before && executed < budget {
+                continue;
             }
             self.counters.incr(Counter::SilenceChecks);
             self.telemetry.span_begin("silence.check");

@@ -407,6 +407,10 @@ impl<P: Protocol + Clone> ReadyRun<P> {
                 )
                 .expect("run spec validated upfront")
                 .with_sampling_mode(spec.engine.sampling_mode());
+                // The engine keeps counts only: release the start before the
+                // run materializes its final configuration, so a trial never
+                // holds two per-agent configurations at once.
+                drop(config);
                 drive(spec, seed, &mut sim, CountSimulation::to_configuration)
             }
         }

@@ -67,7 +67,8 @@ pub enum Counter {
     /// Non-null transitions applied (state actually changed on the count
     /// engines; pair state changed on the exact engine).
     Transitions = 7,
-    /// Silence checks performed by the exact engine's chunked run loop.
+    /// Silence checks performed by the exact engine's chunked run loop
+    /// (after quiet chunks and at the budget edge).
     SilenceChecks = 8,
     /// Full Fenwick-row rebuilds (backend construction and count rebuilds).
     FenwickRebuilds = 9,

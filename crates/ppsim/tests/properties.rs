@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use ppsim::prelude::*;
+use ppsim::StateKeys;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -533,6 +534,261 @@ proptest! {
             }
             prop_assert_eq!(report.final_population(), expected, "{}", engine);
             prop_assert!(report.outcome.is_silent(), "{}", engine);
+        }
+    }
+}
+
+/// A k-state protocol that never settles: the initiator copies the responder
+/// and the responder draws a fresh state. Every pair is non-null and the
+/// transition is randomized, so runs of equal states appear and vanish
+/// anywhere in key order.
+#[derive(Clone, Copy, Debug)]
+struct Scramble {
+    n: usize,
+    k: u8,
+}
+
+impl Protocol for Scramble {
+    type State = u8;
+    fn population_size(&self) -> usize {
+        self.n
+    }
+    fn transition(&self, _a: &u8, b: &u8, rng: &mut dyn RngCore) -> (u8, u8) {
+        (*b, (rng.next_u32() % u32::from(self.k)) as u8)
+    }
+}
+
+impl EnumerableProtocol for Scramble {
+    fn num_states(&self) -> usize {
+        self.k as usize
+    }
+    fn state_index(&self, s: &u8) -> usize {
+        *s as usize
+    }
+    fn state_from_index(&self, i: usize) -> u8 {
+        i as u8
+    }
+    fn interaction_partners(&self, _i: usize) -> Option<Vec<usize>> {
+        Some((0..self.k as usize).collect())
+    }
+}
+
+/// Two agents in different states trade them: every applied transition's
+/// count deltas net to zero.
+#[derive(Clone, Copy, Debug)]
+struct Swap {
+    n: usize,
+}
+
+impl Protocol for Swap {
+    type State = u8;
+    fn population_size(&self) -> usize {
+        self.n
+    }
+    fn transition(&self, a: &u8, b: &u8, _rng: &mut dyn RngCore) -> (u8, u8) {
+        (*b, *a)
+    }
+    fn is_null(&self, a: &u8, b: &u8) -> bool {
+        a == b
+    }
+    fn deterministic_transitions(&self) -> bool {
+        true
+    }
+}
+
+impl EnumerableProtocol for Swap {
+    fn num_states(&self) -> usize {
+        4
+    }
+    fn state_index(&self, s: &u8) -> usize {
+        *s as usize
+    }
+    fn state_from_index(&self, i: usize) -> u8 {
+        i as u8
+    }
+}
+
+/// The distinct states of `states` in first-seen order with their counts,
+/// found one agent at a time: the reference the count engines' run-length
+/// construction must reproduce.
+fn first_seen_counts(states: &[u8]) -> Vec<(u8, u64)> {
+    let mut out: Vec<(u8, u64)> = Vec::new();
+    for &s in states {
+        match out.iter_mut().find(|(t, _)| *t == s) {
+            Some((_, c)) => *c += 1,
+            None => out.push((s, 1)),
+        }
+    }
+    out
+}
+
+fn expand(counts: &[(u8, u64)]) -> Vec<u8> {
+    counts.iter().flat_map(|&(s, c)| std::iter::repeat_n(s, c as usize)).collect()
+}
+
+/// Checks one count engine built from `states` against the per-agent
+/// reference: the multiset view in `expected_order`, the number of keys,
+/// the materialized configuration, and the seeded trajectory of an engine
+/// built from the reference's own one-run-per-state configuration (same
+/// first-seen order, hence the same keys and present list).
+fn check_construction<P, K>(
+    build: impl Fn(&Configuration<u8>) -> CountSimulation<P, K>,
+    states: &[u8],
+    expected_order: &[(u8, u64)],
+    expected_keys: usize,
+) where
+    P: Protocol<State = u8>,
+    K: StateKeys<P>,
+{
+    let mut sim = build(&Configuration::from_states(states.to_vec()));
+    let counts: Vec<(u8, u64)> = sim.state_counts().map(|(&s, c)| (s, c)).collect();
+    assert_eq!(counts, expected_order);
+    assert_eq!(sim.interned_states(), expected_keys);
+    assert_eq!(sim.to_configuration().into_states(), expand(expected_order));
+
+    let mut reference = build(&Configuration::from_states(expand(&first_seen_counts(states))));
+    for _ in 0..4 {
+        sim.run_for(60);
+        reference.run_for(60);
+        let got: Vec<(u8, u64)> = sim.state_counts().map(|(&s, c)| (s, c)).collect();
+        let want: Vec<(u8, u64)> = reference.state_counts().map(|(&s, c)| (s, c)).collect();
+        assert_eq!(got, want);
+        assert_eq!(sim.transitions(), reference.transitions());
+        assert_eq!(sim.interned_states(), reference.interned_states());
+    }
+}
+
+/// Runs `sim` with a recording `run_until` predicate and a clone of it with
+/// a `run_until_counts` predicate that materializes every check, and
+/// requires the same outcome and the same sequence of configurations.
+fn check_views<P: Protocol + Clone, K: StateKeys<P> + Clone>(
+    sim: &CountSimulation<P, K>,
+    checks: usize,
+    budget: u64,
+) {
+    let mut patched = sim.clone();
+    let mut seen: Vec<Configuration<P::State>> = Vec::new();
+    let a = patched.run_until(
+        |c| {
+            seen.push(c.clone());
+            seen.len() > checks
+        },
+        budget,
+    );
+    let mut rebuilt = sim.clone();
+    let mut expected: Vec<Configuration<P::State>> = Vec::new();
+    let b = rebuilt.run_until_counts(
+        |s| {
+            expected.push(s.to_configuration());
+            expected.len() > checks
+        },
+        budget,
+    );
+    assert_eq!(a, b);
+    assert_eq!(seen.len(), expected.len());
+    for (i, (got, want)) in seen.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "check {i} of {}", seen.len());
+    }
+    assert_eq!(patched.to_configuration(), rebuilt.to_configuration());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Keying one run of equal adjacent states at a time builds the same
+    // engine as keying every agent: long runs, alternating states and
+    // all-distinct states, under both key policies and both row structures.
+    #[test]
+    fn run_length_construction_matches_a_per_agent_reference(
+        runs in proptest::collection::vec((0u8..32, 1usize..40), 1..10),
+        pair in (0u8..32, 0u8..32),
+        len in 2usize..90,
+        offset in 0usize..32,
+        seed in any::<u64>(),
+    ) {
+        let k = 32u8;
+        let mut long: Vec<u8> = runs.iter().flat_map(|&(s, l)| std::iter::repeat_n(s, l)).collect();
+        if long.len() < 2 {
+            long.push(long[0]);
+        }
+        let alternating: Vec<u8> =
+            (0..len).map(|i| if i % 2 == 0 { pair.0 } else { pair.1 }).collect();
+        let distinct: Vec<u8> = (0..k as usize).map(|i| ((i * 7 + offset) % 32) as u8).collect();
+        for states in [long, alternating, distinct] {
+            let n = states.len();
+            let first_seen = first_seen_counts(&states);
+            let mut by_key = first_seen.clone();
+            by_key.sort_unstable();
+
+            check_construction(
+                |c| InternedSimulation::new(AsInterned(Scramble { n, k }), c, seed),
+                &states,
+                &first_seen,
+                first_seen.len(),
+            );
+            check_construction(
+                |c| BatchedSimulation::new(Dense(Scramble { n, k }), c, seed),
+                &states,
+                &by_key,
+                k as usize,
+            );
+            check_construction(
+                |c| BatchedSimulation::new(Scramble { n, k }, c, seed),
+                &states,
+                &by_key,
+                k as usize,
+            );
+        }
+    }
+
+    // The patched view `run_until` hands its predicate is, check for check,
+    // the configuration `to_configuration` materializes: per transition and
+    // per batch-count epoch, on both key policies and both row structures,
+    // on a randomized protocol, a protocol that goes silent, and one whose
+    // transitions' deltas net to zero.
+    #[test]
+    fn run_until_view_matches_materialized_configurations(
+        n in 2usize..160,
+        seed in any::<u64>(),
+        budget in 1u64..20_000,
+        checks in 1usize..120,
+    ) {
+        let init = Configuration::from_fn(n, |i| ((i * i + 3 * i) % 7) as u8);
+        let swaps = Configuration::from_fn(n, |i| (i % 4) as u8);
+        let spread = Configuration::from_fn(n, |i| (i % 5) as u8);
+        for mode in [SamplingMode::PerTransition, SamplingMode::BatchCount] {
+            let scramble = Scramble { n, k: 7 };
+            check_views(
+                &InternedSimulation::new(AsInterned(scramble), &init, seed).with_sampling_mode(mode),
+                checks,
+                budget,
+            );
+            check_views(
+                &BatchedSimulation::new(Dense(scramble), &init, seed).with_sampling_mode(mode),
+                checks,
+                budget,
+            );
+            check_views(
+                &BatchedSimulation::new(scramble, &init, seed).with_sampling_mode(mode),
+                checks,
+                budget,
+            );
+            check_views(
+                &InternedSimulation::new(AsInterned(Swap { n }), &swaps, seed)
+                    .with_sampling_mode(mode),
+                checks,
+                budget,
+            );
+            check_views(
+                &BatchedSimulation::new(Swap { n }, &swaps, seed).with_sampling_mode(mode),
+                checks,
+                budget,
+            );
+            check_views(
+                &BatchedSimulation::new(Spread { n }, &spread, seed).with_sampling_mode(mode),
+                checks,
+                budget,
+            );
         }
     }
 }

@@ -48,13 +48,7 @@ impl Epidemic {
     /// The standard initial configuration: one infected agent (agent 0), the
     /// rest susceptible.
     pub fn single_source_configuration(&self) -> Configuration<EpidemicState> {
-        Configuration::from_fn(self.n, |i| {
-            if i == 0 {
-                EpidemicState::Infected
-            } else {
-                EpidemicState::Susceptible
-            }
-        })
+        self.seeded_configuration(1)
     }
 
     /// A configuration with the first `infected` agents infected and the rest
@@ -65,13 +59,10 @@ impl Epidemic {
     /// Panics if `infected > n`.
     pub fn seeded_configuration(&self, infected: usize) -> Configuration<EpidemicState> {
         assert!(infected <= self.n, "cannot infect more than n agents");
-        Configuration::from_fn(self.n, |i| {
-            if i < infected {
-                EpidemicState::Infected
-            } else {
-                EpidemicState::Susceptible
-            }
-        })
+        let mut states = Vec::with_capacity(self.n);
+        states.resize(infected, EpidemicState::Infected);
+        states.resize(self.n, EpidemicState::Susceptible);
+        Configuration::from_states(states)
     }
 
     /// Whether every agent is infected.

@@ -27,13 +27,10 @@
 
 use analysis::table::format_value;
 use analysis::{fit_power_law, Summary, Table};
-use bench::{
-    scenario_convergence_times_with_engine, scenario_times_with_engine,
-    sublinear_scenario_times_with_engine, Engine,
-};
+use bench::{scenario_convergence_times_with_engine, scenario_times_with_engine, Engine};
 use ppsim::prelude::*;
 use processes::{Coupon, Epidemic};
-use ssle::params::OptimalSilentParams;
+use ssle::params::{OptimalSilentParams, SublinearParams};
 use ssle::{OptimalSilentSsr, SilentNStateSsr, SublinearTimeSsr};
 
 fn main() {
@@ -186,10 +183,10 @@ fn sublinear(quick: bool) {
             let budget = 400_000u64 * n as u64;
             let mut means = Vec::new();
             for engine in [Engine::Exact, Engine::Batched, Engine::BatchedCounts] {
-                let times = sublinear_scenario_times_with_engine(
-                    n,
-                    h,
+                let times = scenario_convergence_times_with_engine(
+                    |_, _| SublinearTimeSsr::new(SublinearParams::recommended(n, h)),
                     scenario,
+                    |p, c| p.is_correct(c),
                     trials,
                     73 + n as u64,
                     engine,

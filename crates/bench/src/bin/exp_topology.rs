@@ -49,9 +49,9 @@ use ssle::{SilentNStateSsr, SilentRank};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Which backend a sweep cell ran on (the interned backend is reached
-/// through `Engine::Batched` + `AsInterned`, so `Engine` alone cannot name
-/// it in tables).
+/// Which backend a sweep cell ran on. The interned backend is
+/// `Engine::Batched` on `AsInterned(p)`, whose `CountProtocol::Keys` are
+/// interned, so `Engine` alone cannot name it in tables.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Backend {
     Exact,
@@ -280,7 +280,7 @@ fn measure_weighted(
                     .scheduler(scheduler.clone())
                     .init(config)
                     .seed(trial_seed)
-                    .run_one_interned()
+                    .run_one()
                     .expect("weighted schedulers run on the interned backend");
                 assert!(report.outcome.is_silent());
                 report.parallel_time().value()

@@ -46,7 +46,7 @@ pub fn scenario_times_with_engine<P, F>(
     budget: u64,
 ) -> Vec<f64>
 where
-    P: EnumerableProtocol + Clone + Sync,
+    P: CountProtocol + Clone + Sync,
     F: Fn(usize, u64) -> P + Sync,
 {
     let plan = TrialPlan::new(trials, seed);
@@ -86,7 +86,7 @@ pub fn scenario_times_with_engine_scheduled<P, F>(
     budget: u64,
 ) -> Result<Vec<f64>, SimError>
 where
-    P: EnumerableProtocol + Clone + Sync,
+    P: CountProtocol + Clone + Sync,
     F: Fn(usize, u64) -> P + Sync,
 {
     let plan = TrialPlan::new(trials, seed);
@@ -122,7 +122,9 @@ where
 /// panics. The budget must be finite-minded (see
 /// [`scenario_times_with_engine`]): the exact engine's `run_until` has no
 /// silence early-exit, so a non-converging regression runs the budget down
-/// step by step.
+/// step by step. An open-state-space protocol such as `Sublinear-Time-SSR`
+/// (non-silent at `H ≥ 1`, so correctness is its stop) runs on
+/// [`Engine::Batched`] under its interned key policy.
 pub fn scenario_convergence_times_with_engine<P, F, C>(
     make_protocol: F,
     scenario: &Scenario<P>,
@@ -133,7 +135,7 @@ pub fn scenario_convergence_times_with_engine<P, F, C>(
     budget: u64,
 ) -> Vec<f64>
 where
-    P: EnumerableProtocol + Clone,
+    P: CountProtocol + Clone,
     F: Fn(usize, u64) -> P + Sync,
     C: Fn(&P, &ppsim::Configuration<P::State>) -> bool + Sync,
 {
@@ -150,144 +152,6 @@ where
         );
         report.parallel_time().value()
     })
-}
-
-/// Parallel convergence times of a `Sublinear-Time-SSR` [`Scenario`] family
-/// on the chosen engine.
-///
-/// The protocol's state space is not statically enumerable (names × history
-/// trees), so [`Engine::Batched`] routes through the dynamically interned
-/// backend ([`ppsim::InternedSimulation`]) rather than the enumerated one.
-/// `budget` bounds each trial (the protocol is non-silent at `H ≥ 1`, so a
-/// run that never converges would otherwise spin forever); every trial must
-/// converge within it or the routine panics.
-pub fn sublinear_scenario_times_with_engine(
-    n: usize,
-    h: u32,
-    scenario: &Scenario<SublinearTimeSsr>,
-    trials: usize,
-    seed: u64,
-    engine: Engine,
-    budget: u64,
-) -> Vec<f64> {
-    let plan = TrialPlan::new(trials, seed);
-    run_trials(&plan, |_, trial_seed| {
-        let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, h));
-        let config = scenario.configuration(&protocol, trial_seed);
-        let report = engine
-            .run_until_interned(protocol, &config, trial_seed, budget, |c| protocol.is_correct(c));
-        assert!(
-            report.outcome.condition_met(),
-            "scenario {:?} failed to converge within {budget} interactions",
-            scenario.name()
-        );
-        report.parallel_time().value()
-    })
-}
-
-/// [`sublinear_scenario_times_with_engine`] on the exact engine (the
-/// historical default).
-pub fn sublinear_scenario_times(
-    n: usize,
-    h: u32,
-    scenario: &Scenario<SublinearTimeSsr>,
-    trials: usize,
-    seed: u64,
-    budget: u64,
-) -> Vec<f64> {
-    sublinear_scenario_times_with_engine(n, h, scenario, trials, seed, Engine::Exact, budget)
-}
-
-/// Parallel **detection** times of a `Sublinear-Time-SSR` [`Scenario`]
-/// family on the chosen engine: time from the adversarial configuration
-/// until the first agent enters the `Resetting` role (i.e. the planted error
-/// is noticed), rather than until full recovery.
-///
-/// This isolates the Lemma 5.6 quantity on arbitrary families the way
-/// [`sublinear_detection_times`] does for the classic planted-duplicate
-/// start. On the merged-collision family at `H = 0` almost every pair is
-/// null until the duplicates meet directly, which is the regime where the
-/// batched (interned) engine's null-run skipping dominates the exact engine
-/// — the headline workload of `bench_interned`.
-pub fn sublinear_detection_scenario_times_with_engine(
-    params: SublinearParams,
-    scenario: &Scenario<SublinearTimeSsr>,
-    trials: usize,
-    seed: u64,
-    engine: Engine,
-    budget: u64,
-) -> Vec<f64> {
-    let plan = TrialPlan::new(trials, seed);
-    run_trials(&plan, |_, trial_seed| {
-        let protocol = SublinearTimeSsr::new(params);
-        let config = scenario.configuration(&protocol, trial_seed);
-        let report = engine.run_until_interned(
-            protocol,
-            &config,
-            trial_seed,
-            budget,
-            SublinearTimeSsr::any_resetting,
-        );
-        assert!(
-            report.outcome.condition_met(),
-            "scenario {:?} was never detected within {budget} interactions",
-            scenario.name()
-        );
-        report.parallel_time().value()
-    })
-}
-
-/// Parallel completion times of the roll-call process (`R_n / n`, Lemma 2.9)
-/// on the chosen engine. Completion coincides with silence (all rosters
-/// equal ⟺ all full), so this measures silence time; the roster state space
-/// is open, so [`Engine::Batched`] routes through the interned backend.
-pub fn roll_call_times_with_engine(n: usize, trials: usize, seed: u64, engine: Engine) -> Vec<f64> {
-    let plan = TrialPlan::new(trials, seed);
-    run_trials(&plan, |_, trial_seed| {
-        let protocol = processes::RollCall::new(n);
-        let config = protocol.initial_configuration();
-        let report = RunSpec::new(protocol)
-            .engine(engine)
-            .init(config)
-            .seed(trial_seed)
-            .run_one_interned()
-            .expect("an interned roll-call spec under the uniform scheduler always builds");
-        assert!(report.outcome.is_silent());
-        report.parallel_time().value()
-    })
-}
-
-/// Parallel completion times of the roll-call process under an explicit
-/// [`InteractionScheduler`]: the scheduler-threaded counterpart of
-/// [`roll_call_times_with_engine`], routed through the dynamically interned
-/// backend on the count engines. Graph-restricted schedulers are accepted
-/// only by [`Engine::Exact`]; elsewhere the typed [`SimError`] is returned
-/// upfront.
-pub fn roll_call_times_with_scheduler(
-    n: usize,
-    trials: usize,
-    seed: u64,
-    engine: Engine,
-    scheduler: &InteractionScheduler<processes::Roster>,
-) -> Result<Vec<f64>, SimError> {
-    let plan = TrialPlan::new(trials, seed);
-    let spec_for = |trial_seed: u64| {
-        let protocol = processes::RollCall::new(n);
-        let config = protocol.initial_configuration();
-        RunSpec::new(protocol)
-            .engine(engine)
-            .init(config)
-            .scheduler(scheduler.clone())
-            .seed(trial_seed)
-    };
-    spec_for(plan.seed_for(0)).build()?;
-    Ok(run_trials(&plan, |_, trial_seed| {
-        let report = spec_for(trial_seed)
-            .run_one_interned()
-            .expect("the probe build above validated this pairing");
-        assert!(report.outcome.is_silent());
-        report.parallel_time().value()
-    }))
 }
 
 /// Picks the simulation engine from a `--engine exact|batched|batchcount`
@@ -387,42 +251,9 @@ pub fn silent_n_state_times_with_engine(
     })
 }
 
-/// Stabilization times (parallel) of `Silent-n-state-SSR` under an explicit
-/// [`InteractionScheduler`]: the scheduler-threaded counterpart of
-/// [`silent_n_state_times_with_engine`] (which it reproduces sample for
-/// sample under [`InteractionScheduler::Uniform`]). Graph-restricted
-/// schedulers run only on [`Engine::Exact`]; elsewhere the typed
-/// [`SimError`] is returned upfront.
-pub fn silent_n_state_times_with_scheduler(
-    n: usize,
-    workload: Workload,
-    scheduler: &InteractionScheduler<ssle::SilentRank>,
-    trials: usize,
-    seed: u64,
-    engine: Engine,
-) -> Result<Vec<f64>, SimError> {
-    let plan = TrialPlan::new(trials, seed);
-    let spec_for = |trial_seed: u64| {
-        let protocol = SilentNStateSsr::new(n);
-        let config = silent_n_state_workload(&protocol, workload, trial_seed);
-        RunSpec::new(protocol)
-            .engine(engine)
-            .init(config)
-            .scheduler(scheduler.clone())
-            .seed(trial_seed)
-    };
-    spec_for(plan.seed_for(0)).build()?;
-    Ok(run_trials(&plan, |_, trial_seed| {
-        let report =
-            spec_for(trial_seed).run_one().expect("the probe build above validated this pairing");
-        assert!(report.outcome.is_silent());
-        report.parallel_time().value()
-    }))
-}
-
 /// Per-trial churn reports of `Silent-n-state-SSR` under an
 /// [`InteractionScheduler`] and a [`ChurnPlan`] on the chosen engine: the
-/// population-churn counterpart of [`silent_n_state_times_with_scheduler`],
+/// population-churn counterpart of [`silent_n_state_times_with_engine`],
 /// returning the full [`TrialReport`]s so callers can extract per-event
 /// re-stabilization times and final-population arithmetic (churn resizes
 /// the population, so a single silence time would under-report).
@@ -717,10 +548,10 @@ mod tests {
     fn sublinear_scenarios_measure_on_both_engines() {
         let scenarios = SublinearTimeSsr::adversarial_scenarios();
         for engine in [Engine::Exact, Engine::Batched] {
-            let times = sublinear_scenario_times_with_engine(
-                10,
-                1,
+            let times = scenario_convergence_times_with_engine(
+                |_, _| SublinearTimeSsr::new(SublinearParams::recommended(10, 1)),
                 &scenarios[0],
+                |p, c| p.is_correct(c),
                 2,
                 17,
                 engine,
@@ -729,124 +560,50 @@ mod tests {
             assert_eq!(times.len(), 2);
             assert!(times.iter().all(|&t| t > 0.0));
         }
-        // The exact-engine wrapper is the same measurement.
-        let times = sublinear_scenario_times(10, 1, &scenarios[0], 2, 17, 100_000_000);
-        assert_eq!(times.len(), 2);
-    }
-
-    #[test]
-    fn detection_scenario_times_measure_first_reset_on_both_engines() {
-        let scenarios = SublinearTimeSsr::adversarial_scenarios();
-        let merged = scenarios
-            .iter()
-            .find(|s| s.name() == "merged-collision")
-            .expect("the merged-collision family exists");
-        for engine in [Engine::Exact, Engine::Batched] {
-            let times = sublinear_detection_scenario_times_with_engine(
-                SublinearParams::recommended(12, 0),
-                merged,
-                2,
-                19,
-                engine,
-                100_000_000,
-            );
-            assert_eq!(times.len(), 2);
-            assert!(times.iter().all(|&t| t > 0.0));
-        }
-    }
-
-    #[test]
-    fn roll_call_times_measure_on_both_engines() {
-        for engine in [Engine::Exact, Engine::Batched] {
-            let times = roll_call_times_with_engine(20, 3, 23, engine);
-            assert_eq!(times.len(), 3);
-            assert!(times.iter().all(|&t| t > 0.0));
-        }
     }
 
     #[test]
     fn scheduled_measurement_helpers_thread_the_scheduler() {
-        use ssle::SilentRank;
-        let boosted = InteractionScheduler::WeightedPairs(PairRates::new(1).with_rate(
-            SilentRank(0),
-            SilentRank(0),
-            3,
-        ));
-        for engine in [Engine::Exact, Engine::Batched] {
-            let times = silent_n_state_times_with_scheduler(
-                12,
-                Workload::WorstCase,
-                &boosted,
-                2,
-                3,
-                engine,
-            )
-            .unwrap();
-            assert_eq!(times.len(), 2);
-            assert!(times.iter().all(|&t| t > 0.0));
-        }
-        // The uniform strategy reproduces the plain measurement sample for
-        // sample (trajectory preservation, surfaced at the bench layer).
-        let plain = silent_n_state_times(12, Workload::WorstCase, 3, 5);
-        let scheduled = silent_n_state_times_with_scheduler(
-            12,
-            Workload::WorstCase,
-            &InteractionScheduler::Uniform,
-            3,
-            5,
-            Engine::Exact,
-        )
-        .unwrap();
-        assert_eq!(plain, scheduled);
-        // Graph topologies on a count engine are rejected before any trial.
-        let ring = InteractionScheduler::GraphRestricted(Topology::Ring);
-        assert!(matches!(
-            silent_n_state_times_with_scheduler(
-                12,
-                Workload::WorstCase,
-                &ring,
-                2,
-                3,
-                Engine::Batched
-            ),
-            Err(SimError::SchedulerNeedsIdentities { .. })
-        ));
-    }
-
-    #[test]
-    fn scheduled_scenario_and_roll_call_helpers_measure() {
         use ssle::{SilentNStateSsr, SilentRank};
         let scenario = &SilentNStateSsr::adversarial_scenarios()[0];
+        let scheduled = |scheduler: &InteractionScheduler<SilentRank>, engine| {
+            scenario_times_with_engine_scheduled(
+                |_, _| SilentNStateSsr::new(10),
+                scenario,
+                scheduler,
+                3,
+                11,
+                engine,
+                50_000_000,
+            )
+        };
         let boosted = InteractionScheduler::WeightedPairs(PairRates::new(1).with_rate(
             SilentRank(0),
             SilentRank(0),
             4,
         ));
         for engine in [Engine::Exact, Engine::Batched] {
-            let times = scenario_times_with_engine_scheduled(
-                |_, _| SilentNStateSsr::new(10),
-                scenario,
-                &boosted,
-                2,
-                11,
-                engine,
-                50_000_000,
-            )
-            .unwrap();
-            assert_eq!(times.len(), 2);
+            let times = scheduled(&boosted, engine).unwrap();
+            assert_eq!(times.len(), 3);
             assert!(times.iter().all(|&t| t > 0.0));
         }
-        // Uniform-scheduled roll call matches the plain interned measurement.
-        let plain = roll_call_times_with_engine(20, 2, 23, Engine::Batched);
-        let scheduled = roll_call_times_with_scheduler(
-            20,
-            2,
-            23,
-            Engine::Batched,
-            &InteractionScheduler::Uniform,
-        )
-        .unwrap();
-        assert_eq!(plain, scheduled);
+        // The uniform strategy reproduces the plain measurement sample for
+        // sample (trajectory preservation, surfaced at the bench layer).
+        let plain = scenario_times_with_engine(
+            |_, _| SilentNStateSsr::new(10),
+            scenario,
+            3,
+            11,
+            Engine::Exact,
+            50_000_000,
+        );
+        assert_eq!(plain, scheduled(&InteractionScheduler::Uniform, Engine::Exact).unwrap());
+        // Graph topologies on a count engine are rejected before any trial.
+        let ring = InteractionScheduler::GraphRestricted(Topology::Ring);
+        assert!(matches!(
+            scheduled(&ring, Engine::Batched),
+            Err(SimError::SchedulerNeedsIdentities { .. })
+        ));
     }
 
     #[test]

@@ -42,8 +42,9 @@
 //! of the roll-call process — run on the same engine under the growable key
 //! policy of [`crate::interned`], which assigns dense indices to states as
 //! they are first observed ([`crate::InternableProtocol`] /
-//! [`crate::InternedSimulation`]). [`Engine`] is the routing layer for all
-//! of them, and `ARCHITECTURE.md` at the repository root draws the decision
+//! [`crate::InternedSimulation`]). Each protocol names its policy once, as
+//! [`CountProtocol::Keys`]. [`Engine`] is the routing layer for all of
+//! them, and `ARCHITECTURE.md` at the repository root draws the decision
 //! tree.
 //!
 //! # Example
@@ -102,10 +103,9 @@
 use rand::RngCore;
 
 use crate::config::Configuration;
-use crate::count::{CountSimulation, PartnerLists, StateKeys};
+use crate::count::{CountProtocol, CountSimulation, PartnerLists, StateKeys};
 use crate::error::SimError;
 use crate::execution::{RunOutcome, Simulation};
-use crate::interned::{InternableProtocol, InternedKeys};
 use crate::protocol::Protocol;
 use crate::symmetry::StateSymmetry;
 use crate::time::ParallelTime;
@@ -290,11 +290,11 @@ pub type BatchedSimulation<P> = CountSimulation<P, EnumeratedKeys<P>>;
 /// The engines simulate the same Markov chain; they differ only in cost
 /// model. [`Engine::Exact`] pays O(1) per interaction and works for every
 /// [`Protocol`]. [`Engine::Batched`] pays only per *non-null* interaction on
-/// the count engine, whose key policy follows the protocol's capability
-/// trait: the static enumeration for [`EnumerableProtocol`] (driven by
-/// [`crate::RunSpec::run`] or, for custom predicates, [`Engine::run_until`])
-/// and the growable interner for [`crate::InternableProtocol`]
-/// ([`crate::RunSpec::run_interned`] / [`Engine::run_until_interned`]).
+/// the count engine, under the key policy the protocol names as
+/// [`CountProtocol::Keys`]: the static enumeration for every
+/// [`EnumerableProtocol`], the growable interner for an open-state-space
+/// protocol. [`crate::RunSpec::run`] drives both, and [`Engine::run_until`]
+/// does for custom predicates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Engine {
     /// The per-agent engine: [`Simulation`].
@@ -347,34 +347,9 @@ impl Engine {
     }
 
     /// Runs the protocol from `init` until the (permutation-invariant)
-    /// predicate holds or `budget` interactions elapse.
-    pub fn run_until<P: EnumerableProtocol>(
-        self,
-        protocol: P,
-        init: &Configuration<P::State>,
-        seed: u64,
-        budget: u64,
-        condition: impl FnMut(&Configuration<P::State>) -> bool,
-    ) -> EngineReport<P::State> {
-        self.run_until_keyed::<P, EnumeratedKeys<P>>(protocol, init, seed, budget, condition)
-    }
-
-    /// Runs an [`InternableProtocol`] from `init` until the (permutation-
-    /// invariant) predicate holds or `budget` interactions elapse; the
-    /// open-state-space counterpart of [`Engine::run_until`].
-    pub fn run_until_interned<P: InternableProtocol>(
-        self,
-        protocol: P,
-        init: &Configuration<P::State>,
-        seed: u64,
-        budget: u64,
-        condition: impl FnMut(&Configuration<P::State>) -> bool,
-    ) -> EngineReport<P::State> {
-        self.run_until_keyed::<P, InternedKeys<P>>(protocol, init, seed, budget, condition)
-    }
-
-    /// [`Engine::run_until`] with the count engine keyed by `K`.
-    fn run_until_keyed<P: Protocol, K: StateKeys<P>>(
+    /// predicate holds or `budget` interactions elapse; the count engines
+    /// key their tables with the protocol's [`CountProtocol::Keys`].
+    pub fn run_until<P: CountProtocol>(
         self,
         protocol: P,
         init: &Configuration<P::State>,
@@ -389,7 +364,7 @@ impl Engine {
                 EngineReport { outcome, final_config: sim.configuration().clone() }
             }
             Engine::Batched | Engine::BatchedCounts => {
-                let mut sim = CountSimulation::<P, K>::new(protocol, init, seed)
+                let mut sim = CountSimulation::<P, P::Keys>::new(protocol, init, seed)
                     .with_sampling_mode(self.sampling_mode());
                 let outcome = sim.run_until(condition, budget);
                 EngineReport { outcome, final_config: sim.to_configuration() }
@@ -442,6 +417,44 @@ pub(crate) mod tests {
         }
         fn state_from_index(&self, i: usize) -> P::State {
             self.0.state_from_index(i)
+        }
+    }
+
+    /// Declares partner lists for state 0 only: a malformed enumeration
+    /// the count engine must reject with a typed error.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Partial<P>(pub P);
+
+    impl<P: Protocol> Protocol for Partial<P> {
+        type State = P::State;
+        fn population_size(&self) -> usize {
+            self.0.population_size()
+        }
+        fn transition(
+            &self,
+            a: &P::State,
+            b: &P::State,
+            rng: &mut dyn RngCore,
+        ) -> (P::State, P::State) {
+            self.0.transition(a, b, rng)
+        }
+        fn is_null(&self, a: &P::State, b: &P::State) -> bool {
+            self.0.is_null(a, b)
+        }
+    }
+
+    impl<P: EnumerableProtocol> EnumerableProtocol for Partial<P> {
+        fn num_states(&self) -> usize {
+            self.0.num_states()
+        }
+        fn state_index(&self, s: &P::State) -> usize {
+            self.0.state_index(s)
+        }
+        fn state_from_index(&self, i: usize) -> P::State {
+            self.0.state_from_index(i)
+        }
+        fn interaction_partners(&self, i: usize) -> Option<Vec<usize>> {
+            (i == 0).then(|| vec![0])
         }
     }
 
@@ -621,35 +634,6 @@ pub(crate) mod tests {
 
     #[test]
     fn partial_partner_lists_are_a_typed_error() {
-        /// Declares partners for the leader state only.
-        #[derive(Clone, Copy, Debug)]
-        struct Partial(Frat);
-        impl Protocol for Partial {
-            type State = u8;
-            fn population_size(&self) -> usize {
-                self.0.population_size()
-            }
-            fn transition(&self, a: &u8, b: &u8, rng: &mut dyn RngCore) -> (u8, u8) {
-                self.0.transition(a, b, rng)
-            }
-            fn is_null(&self, a: &u8, b: &u8) -> bool {
-                self.0.is_null(a, b)
-            }
-        }
-        impl EnumerableProtocol for Partial {
-            fn num_states(&self) -> usize {
-                2
-            }
-            fn state_index(&self, s: &u8) -> usize {
-                *s as usize
-            }
-            fn state_from_index(&self, i: usize) -> u8 {
-                i as u8
-            }
-            fn interaction_partners(&self, i: usize) -> Option<Vec<usize>> {
-                (i == 0).then(|| vec![0])
-            }
-        }
         let init = Configuration::uniform(0u8, 4);
         let err = BatchedSimulation::try_new(Partial(Frat { n: 4 }), &init, 1).unwrap_err();
         assert_eq!(err, SimError::PartialInteractionPartners { index: 1 });

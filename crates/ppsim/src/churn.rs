@@ -651,7 +651,7 @@ mod tests {
             .seed(7)
             .budget(BUDGET)
             .churn(plan)
-            .run_one_interned()
+            .run_one()
             .unwrap();
         assert_eq!(interned.outcome.reason, StopReason::Silent);
         assert_eq!(interned.final_population(), 60);
@@ -763,15 +763,22 @@ mod tests {
             .scheduler(scheduler.clone())
             .run_one()
             .unwrap_err();
-        assert!(matches!(err, SimError::SchedulerNeedsIdentities { .. }), "{err}");
+        assert!(
+            matches!(err, SimError::SchedulerNeedsIdentities { engine: "batched", .. }),
+            "{err}"
+        );
+        // The error names the key policy the protocol runs under.
         let err = RunSpec::new(AsInterned(Frat { n: 10 }))
             .engine(Engine::BatchedCounts)
             .init(Configuration::uniform(0u8, 10))
             .scheduler(scheduler)
             .churn(plan)
-            .run_one_interned()
+            .run_one()
             .unwrap_err();
-        assert!(matches!(err, SimError::SchedulerNeedsIdentities { .. }), "{err}");
+        assert!(
+            matches!(err, SimError::SchedulerNeedsIdentities { engine: "interned", .. }),
+            "{err}"
+        );
     }
 
     #[test]

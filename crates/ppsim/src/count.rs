@@ -35,6 +35,13 @@
 //! The run loops, the epoch sampler, the count-delta repair, the fault and
 //! churn hooks, the counters and the telemetry exist once, here.
 //!
+//! A protocol names its key policy once, as [`CountProtocol::Keys`]: every
+//! [`crate::EnumerableProtocol`] gets [`crate::EnumeratedKeys`] from a
+//! blanket impl, and an open-state-space protocol declares
+//! `type Keys = InternedKeys<Self>`. [`crate::RunSpec`] and
+//! [`crate::Engine::run_until`] read the policy from there, so every count
+//! protocol runs through the same `run` / `run_one` / `run_until`.
+//!
 //! Where the engine meets per-agent [`Configuration`]s it works in bulk, not
 //! per agent: construction keys each run of equal adjacent states once,
 //! [`CountSimulation::to_configuration`] fills each state's whole count at
@@ -44,7 +51,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::batched::{sample_null_run, SamplingMode};
+use crate::batched::{sample_null_run, EnumerableProtocol, EnumeratedKeys, SamplingMode};
 use crate::config::Configuration;
 use crate::error::SimError;
 use crate::execution::{RunOutcome, StopReason};
@@ -106,6 +113,23 @@ pub trait StateKeys<P: Protocol>: Sized {
     fn same_null_class(&self, _i: usize, _j: usize) -> bool {
         false
     }
+}
+
+/// A protocol the count engine can run, with the key policy it runs under.
+///
+/// This is the one place a protocol names its key policy: the blanket impl
+/// below gives every [`crate::EnumerableProtocol`] its static enumeration,
+/// and a protocol over an open state space implements the trait itself with
+/// `type Keys = InternedKeys<Self>` ([`crate::InternedKeys`]). To run an
+/// enumerable protocol on interned keys instead, wrap it in
+/// [`crate::AsInterned`].
+pub trait CountProtocol: Protocol + Sized {
+    /// The key policy of this protocol's [`CountSimulation`].
+    type Keys: StateKeys<Self>;
+}
+
+impl<P: EnumerableProtocol> CountProtocol for P {
+    type Keys = EnumeratedKeys<P>;
 }
 
 /// A growable Fenwick (binary indexed) tree over explicit point weights:

@@ -659,7 +659,7 @@ mod tests {
                 .seed(seed)
                 .budget(BUDGET)
                 .faults(plan.clone())
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             for report in [&exact, &batched, &dense, &interned] {
                 assert!(report.outcome.is_silent());
@@ -691,7 +691,7 @@ mod tests {
                     .seed(7)
                     .budget(BUDGET)
                     .faults(plan.clone())
-                    .run_one_interned()
+                    .run_one()
                     .unwrap()
             } else {
                 run_faulty(engine, Frat { n }, &init, 7, BUDGET, &plan)

@@ -102,7 +102,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::count::{CountSimulation, PartnerLists, StateKeys};
+use crate::count::{CountProtocol, CountSimulation, PartnerLists, StateKeys};
 use crate::error::SimError;
 use crate::protocol::Protocol;
 
@@ -151,9 +151,11 @@ pub trait InternableProtocol: Protocol {
 ///
 /// A blanket `impl InternableProtocol for P: EnumerableProtocol` would make
 /// every downstream `InternableProtocol` impl a coherence conflict, so the
-/// adapter is an explicit wrapper instead. The cross-backend equivalence
-/// suites use it to drive one protocol through both key policies of the
-/// count engine.
+/// adapter is an explicit wrapper instead. An enumerable protocol's own
+/// [`CountProtocol::Keys`] is its static enumeration; `AsInterned(p)` names
+/// [`InternedKeys`], so the cross-backend equivalence suites drive one
+/// protocol through both key policies of the count engine with the same
+/// `run` / `run_one` / `run_until`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AsInterned<P>(pub P);
 
@@ -184,6 +186,10 @@ impl<P: Protocol> Protocol for AsInterned<P> {
 
 impl<P: Protocol> InternableProtocol for AsInterned<P> {
     type NullClass = ();
+}
+
+impl<P: Protocol> CountProtocol for AsInterned<P> {
+    type Keys = InternedKeys<Self>;
 }
 
 /// Assigns dense indices to states in order of first appearance.
@@ -374,6 +380,10 @@ mod tests {
         fn distinct_states_hint(&self) -> usize {
             2
         }
+    }
+
+    impl CountProtocol for Frat {
+        type Keys = InternedKeys<Self>;
     }
 
     /// Tokens merge pairwise: (w, w) -> (2w, 0) for w > 0. Starting from all
@@ -581,7 +591,7 @@ mod tests {
                 .engine(engine)
                 .init(config.clone())
                 .seed(9)
-                .run_one_interned()
+                .run_one()
                 .unwrap()
         };
         let exact = spec(Engine::Exact);
@@ -592,14 +602,10 @@ mod tests {
         assert_eq!(leaders(&exact.final_config), 1);
         assert_eq!(leaders(&interned.final_config), 1);
 
-        let exact =
-            Engine::Exact.run_until_interned(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| {
-                leaders(c) <= 20
-            });
-        let interned =
-            Engine::Batched.run_until_interned(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| {
-                leaders(c) <= 20
-            });
+        let exact = Engine::Exact
+            .run_until(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| leaders(c) <= 20);
+        let interned = Engine::Batched
+            .run_until(Frat { n: 40 }, &config, 9, u64::MAX >> 8, |c| leaders(c) <= 20);
         assert!(exact.outcome.condition_met());
         assert!(interned.outcome.condition_met());
     }

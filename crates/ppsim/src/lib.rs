@@ -38,11 +38,14 @@
 //! .scheduler(sch).faults(fp).churn(cp).trials(t).seed(b).run()`. Invalid
 //! combinations (e.g. a graph-restricted scheduler on a count-based engine)
 //! are rejected with a typed [`SimError`] when the spec is built, before any
-//! trial runs. The lower-level pieces remain public for custom predicates:
-//! [`Engine::run_until`] / [`Engine::run_until_interned`] stop on arbitrary
-//! conditions and [`runner`] ([`run_trials`], [`TrialPlan`]) distributes any
-//! closure across threads. `ARCHITECTURE.md` at the repository root draws
-//! the full engine → backend decision tree.
+//! trial runs. A protocol names its count-engine key policy once, as
+//! [`CountProtocol::Keys`] (enumerable protocols get the static keys from a
+//! blanket impl), so one `run` / `run_one` serves both state-space shapes.
+//! The lower-level pieces remain public for custom predicates:
+//! [`Engine::run_until`] stops on arbitrary conditions and [`runner`]
+//! ([`run_trials`], [`TrialPlan`]) distributes any closure across threads.
+//! `ARCHITECTURE.md` at the repository root draws the full engine → backend
+//! decision tree.
 //!
 //! # Example
 //!
@@ -124,7 +127,7 @@ pub use churn::{
     ChurnHost, ChurnOutcome, ChurnPlan, ChurnRecord,
 };
 pub use config::Configuration;
-pub use count::{CountSimulation, StateKeys};
+pub use count::{CountProtocol, CountSimulation, StateKeys};
 pub use error::SimError;
 pub use execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
 pub use faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};
@@ -162,7 +165,7 @@ pub mod prelude {
         ChurnEvent, ChurnHost, ChurnOutcome, ChurnPlan, ChurnRecord,
     };
     pub use crate::config::Configuration;
-    pub use crate::count::CountSimulation;
+    pub use crate::count::{CountProtocol, CountSimulation};
     pub use crate::error::SimError;
     pub use crate::execution::{ConvergenceOutcome, RunOutcome, Simulation, StopReason};
     pub use crate::faults::{CorruptionTarget, FaultEvent, FaultHost, FaultPlan, FaultSchedule};

@@ -24,10 +24,12 @@
 //!
 //! Every trial produces the same unified [`TrialReport`], whatever axes were
 //! active: plain runs leave the fault and churn fields empty, faulted runs
-//! fill `injections`/`recoveries`, churned runs fill `churn`. The
-//! open-state-space protocols ([`InternableProtocol`]) use
-//! [`RunSpec::run_interned`] / [`RunSpec::run_one_interned`], which route the
-//! count engines through the dynamically interned backend.
+//! fill `injections`/`recoveries`, churned runs fill `churn`. The count
+//! engines key their tables with the key policy the protocol names as
+//! [`CountProtocol::Keys`]: the static enumeration for an
+//! [`crate::EnumerableProtocol`], the growable interner for an
+//! open-state-space protocol (or for any protocol wrapped in
+//! [`crate::AsInterned`]). The caller never picks it.
 //!
 //! # Seeding
 //!
@@ -41,20 +43,19 @@ use std::sync::Arc;
 
 use rand::SeedableRng;
 
-use crate::batched::{Engine, EngineReport, EnumerableProtocol, EnumeratedKeys};
+use crate::batched::{Engine, EngineReport};
 use crate::churn::{
     all_events_restabilized, final_restabilization, run_until_silent_with_churn_and_faults,
     ChurnOutcome, ChurnPlan, ChurnRecord, DEPARTURE_SALT,
 };
 use crate::config::Configuration;
-use crate::count::{CountSimulation, StateKeys};
+use crate::count::{CountProtocol, CountSimulation, StateKeys};
 use crate::error::SimError;
 use crate::execution::{RunOutcome, Simulation};
 use crate::faults::{
     all_bursts_recovered, last_recovery, run_until_silent_with_faults, FaultOutcome, FaultPlan,
     VICTIM_SALT,
 };
-use crate::interned::{InternableProtocol, InternedKeys};
 use crate::protocol::Protocol;
 use crate::runner::{run_trials, TrialPlan};
 use crate::scenario::{Scenario, ScenarioRng};
@@ -252,6 +253,12 @@ impl<P: Protocol> RunSpec<P> {
         self
     }
 
+    fn plan(&self) -> TrialPlan {
+        TrialPlan { trials: self.trials, base_seed: self.base_seed, threads: self.threads }
+    }
+}
+
+impl<P: CountProtocol + Clone + Sync> RunSpec<P> {
     /// Validates the spec and freezes it into a [`ReadyRun`].
     ///
     /// # Errors
@@ -266,7 +273,10 @@ impl<P: Protocol> RunSpec<P> {
     ///   scheduler paired with a count-based engine, which erases the agent
     ///   identities the graph is defined over;
     /// * [`SimError::ZeroRateScheduler`] — a weighted scheduler whose rates
-    ///   are all zero.
+    ///   are all zero;
+    /// * [`SimError::PartialInteractionPartners`] — a count engine on an
+    ///   enumerable protocol that declares partner lists for some states but
+    ///   not all.
     pub fn build(self) -> Result<ReadyRun<P>, SimError> {
         let n = self.protocol.population_size();
         if n < 2 {
@@ -286,20 +296,18 @@ impl<P: Protocol> RunSpec<P> {
             InteractionScheduler::GraphRestricted(_) if self.engine != Engine::Exact => {
                 return Err(SimError::SchedulerNeedsIdentities {
                     scheduler: self.scheduler.label(),
-                    engine: "batched",
+                    engine: P::Keys::ENGINE,
                 })
             }
             _ => {}
         }
+        if self.engine != Engine::Exact {
+            // O(states) once per spec: every trial builds the same table.
+            P::Keys::build(&self.protocol)?;
+        }
         Ok(ReadyRun { spec: self })
     }
 
-    fn plan(&self) -> TrialPlan {
-        TrialPlan { trials: self.trials, base_seed: self.base_seed, threads: self.threads }
-    }
-}
-
-impl<P: EnumerableProtocol + Clone + Sync> RunSpec<P> {
     /// Builds and runs the spec, returning the per-trial reports in trial
     /// order (shorthand for `build()?.run()`).
     ///
@@ -321,36 +329,14 @@ impl<P: EnumerableProtocol + Clone + Sync> RunSpec<P> {
     }
 }
 
-impl<P: InternableProtocol + Clone + Sync> RunSpec<P> {
-    /// Builds and runs the spec for an open-state-space protocol, routing the
-    /// count engines through the dynamically interned backend (shorthand for
-    /// `build()?.run_interned()`).
-    ///
-    /// # Errors
-    ///
-    /// The build-time validation errors of [`RunSpec::build`].
-    pub fn run_interned(self) -> Result<Vec<TrialReport<P::State>>, SimError> {
-        Ok(self.build()?.run_interned())
-    }
-
-    /// Builds the spec and runs a single interned execution seeded with the
-    /// base seed verbatim (shorthand for `build()?.run_one_interned()`).
-    ///
-    /// # Errors
-    ///
-    /// The build-time validation errors of [`RunSpec::build`].
-    pub fn run_one_interned(self) -> Result<TrialReport<P::State>, SimError> {
-        Ok(self.build()?.run_one_interned())
-    }
-}
-
-/// A validated [`RunSpec`]: every trial is guaranteed to construct its
-/// simulation successfully, so the run methods are infallible.
+/// A validated [`RunSpec`]. The start, the scheduler and the key table are
+/// checked upfront, so the run methods are infallible; a trial panics only
+/// if its start holds a state outside the protocol's static enumeration.
 pub struct ReadyRun<P: Protocol> {
     spec: RunSpec<P>,
 }
 
-impl<P: EnumerableProtocol + Clone + Sync> ReadyRun<P> {
+impl<P: CountProtocol + Clone + Sync> ReadyRun<P> {
     /// Runs the trials across threads, returning reports in trial order.
     ///
     /// Each trial's seed is derived from the base seed with the
@@ -358,35 +344,18 @@ impl<P: EnumerableProtocol + Clone + Sync> ReadyRun<P> {
     /// thread schedule.
     pub fn run(&self) -> Vec<TrialReport<P::State>> {
         let plan = self.spec.plan();
-        run_trials(&plan, |trial, seed| self.trial::<EnumeratedKeys<P>>(trial, seed))
+        run_trials(&plan, |trial, seed| self.trial(trial, seed))
     }
 
     /// Runs one execution seeded with the spec's base seed verbatim: the
     /// single-run counterpart of [`ReadyRun::run`], bit-identical to driving
     /// the underlying simulation directly with that seed.
     pub fn run_one(&self) -> TrialReport<P::State> {
-        self.trial::<EnumeratedKeys<P>>(0, self.spec.base_seed)
-    }
-}
-
-impl<P: InternableProtocol + Clone + Sync> ReadyRun<P> {
-    /// Runs the trials of an open-state-space protocol across threads: the
-    /// interned counterpart of [`ReadyRun::run`] ([`Engine::Batched`] routes
-    /// through the interned key policy).
-    pub fn run_interned(&self) -> Vec<TrialReport<P::State>> {
-        let plan = self.spec.plan();
-        run_trials(&plan, |trial, seed| self.trial::<InternedKeys<P>>(trial, seed))
+        self.trial(0, self.spec.base_seed)
     }
 
-    /// Runs one interned execution seeded with the spec's base seed verbatim.
-    pub fn run_one_interned(&self) -> TrialReport<P::State> {
-        self.trial::<InternedKeys<P>>(0, self.spec.base_seed)
-    }
-}
-
-impl<P: Protocol + Clone> ReadyRun<P> {
-    /// One trial; the count engines key their tables with `K`.
-    fn trial<K: StateKeys<P>>(&self, trial: usize, seed: u64) -> TrialReport<P::State> {
+    /// One trial; the count engines key their tables with `P::Keys`.
+    fn trial(&self, trial: usize, seed: u64) -> TrialReport<P::State> {
         let spec = &self.spec;
         let protocol = spec.protocol.clone();
         let config = spec.start.configuration(&protocol, trial, seed);
@@ -399,7 +368,7 @@ impl<P: Protocol + Clone> ReadyRun<P> {
                 drive(spec, seed, &mut sim, final_config)
             }
             Engine::Batched | Engine::BatchedCounts => {
-                let mut sim = CountSimulation::<P, K>::try_new_scheduled(
+                let mut sim = CountSimulation::<P, P::Keys>::try_new_scheduled(
                     protocol,
                     &config,
                     seed,
@@ -419,8 +388,8 @@ impl<P: Protocol + Clone> ReadyRun<P> {
 
 /// Drives one constructed simulation through the spec's fault/churn axes.
 ///
-/// Shared by the enumerable and interned paths: the host type differs, but
-/// the event-stream logic is identical. `final_config` extracts the final
+/// Shared by the exact and count engines: the host type differs, but the
+/// event-stream logic is identical. `final_config` extracts the final
 /// configuration once the run stops (a closure because the exact engine
 /// borrows it while the count engines materialize it).
 fn drive<P, H, F>(
@@ -616,8 +585,11 @@ impl<S> TrialReport<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batched::tests::Partial;
+    use crate::batched::{BatchedSimulation, EnumerableProtocol};
     use crate::churn::ChurnAction;
     use crate::faults::CorruptionTarget;
+    use crate::interned::{AsInterned, InternedSimulation};
     use crate::scheduler::{PairRates, Topology};
     use rand::RngCore;
 
@@ -712,6 +684,44 @@ mod tests {
         assert_eq!(report.outcome, outcome);
         assert_eq!(&report.final_config, sim.configuration());
         assert_eq!(report.initial_silence, Some(outcome.interactions));
+
+        // The count engine runs under the protocol's own key policy. The
+        // counters include the interner's growths, so a protocol routed to
+        // the other policy fails here even where its trajectory matches.
+        let report = RunSpec::new(Frat { n: 30 })
+            .engine(Engine::Batched)
+            .init(all_leaders(30))
+            .seed(11)
+            .run_one()
+            .unwrap();
+        let mut sim = BatchedSimulation::new(Frat { n: 30 }, &all_leaders(30), 11);
+        assert_eq!(report.outcome, sim.run_until_silent(DEFAULT_BUDGET));
+        assert_eq!(report.final_config, sim.to_configuration());
+        assert_eq!(report.counters, sim.counters());
+
+        let report = RunSpec::new(AsInterned(Frat { n: 30 }))
+            .engine(Engine::Batched)
+            .init(all_leaders(30))
+            .seed(11)
+            .run_one()
+            .unwrap();
+        let mut sim = InternedSimulation::new(AsInterned(Frat { n: 30 }), &all_leaders(30), 11);
+        assert_eq!(report.outcome, sim.run_until_silent(DEFAULT_BUDGET));
+        assert_eq!(report.final_config, sim.to_configuration());
+        assert_eq!(report.counters, sim.counters());
+        assert!(report.counters.get(crate::telemetry::Counter::InternerGrowths) >= 1);
+    }
+
+    #[test]
+    fn partial_partner_lists_are_rejected_at_build_time() {
+        let spec =
+            |engine| RunSpec::new(Partial(Frat { n: 4 })).engine(engine).init(all_leaders(4));
+        for engine in [Engine::Batched, Engine::BatchedCounts] {
+            let err = spec(engine).run_one().unwrap_err();
+            assert_eq!(err, SimError::PartialInteractionPartners { index: 1 }, "{engine}");
+        }
+        // The exact engine reads no key table.
+        assert!(spec(Engine::Exact).run_one().unwrap().outcome.is_silent());
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! (`O(n/64)` words per interaction, no engine overhead) that the
 //! engine-based runs are cross-validated against.
 
-use ppsim::{Configuration, CorruptionTarget, FaultPlan, InternableProtocol, Protocol};
+use ppsim::{
+    Configuration, CorruptionTarget, CountProtocol, FaultPlan, InternableProtocol, InternedKeys,
+    Protocol,
+};
 use rand::{Rng, RngCore};
 
 /// A roll-call roster: the set of agent IDs an agent has heard of, as a
@@ -121,6 +124,8 @@ impl Roster {
 /// (Lemma 2.9). The state space (all `2ⁿ` rosters) is far too large to
 /// enumerate, but a run only visits `O(n + transitions)` distinct rosters,
 /// which is exactly the regime the interned batched backend is built for.
+/// `RollCall` names that backend as its [`CountProtocol::Keys`], so
+/// [`ppsim::RunSpec`] runs it there on [`ppsim::Engine::Batched`].
 ///
 /// # Example
 ///
@@ -134,7 +139,7 @@ impl Roster {
 ///     .engine(Engine::Batched)
 ///     .init(init)
 ///     .seed(11)
-///     .run_one_interned()
+///     .run_one()
 ///     .unwrap();
 /// assert!(report.outcome.is_silent());
 /// assert!(RollCall::is_complete(&report.final_config));
@@ -240,6 +245,12 @@ impl InternableProtocol for RollCall {
     fn distinct_states_hint(&self) -> usize {
         2 * self.n
     }
+}
+
+/// All `2ⁿ` rosters cannot be enumerated, so the count engine keys them by
+/// interning.
+impl CountProtocol for RollCall {
+    type Keys = InternedKeys<Self>;
 }
 
 /// Samples the number of interactions `R_n` for the roll-call process to
@@ -401,7 +412,7 @@ mod tests {
                 .init(init.clone())
                 .seed(5)
                 .faults(plan.clone())
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             assert!(report.outcome.is_silent());
             assert!(RollCall::is_complete(&report.final_config));

@@ -256,14 +256,14 @@ fn roll_call_engines_agree_per_seed_on_the_verdict() {
             .budget(BUDGET)
             .init(init.clone())
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
         let interned = RunSpec::new(protocol)
             .engine(Engine::Batched)
             .budget(BUDGET)
             .init(init)
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
         assert_eq!(exact.outcome.reason, interned.outcome.reason);
         assert!(exact.outcome.is_silent());
@@ -291,7 +291,7 @@ fn roll_call_silence_times_match_the_specialized_sampler_on_both_engines() {
                 .budget(BUDGET)
                 .init(protocol.initial_configuration())
                 .seed(seed ^ salt)
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             assert!(report.outcome.is_silent());
             report.outcome.interactions.count() as f64

@@ -28,8 +28,8 @@ pub mod history_tree;
 use std::collections::BTreeSet;
 
 use ppsim::{
-    Configuration, InternableProtocol, LeaderElectionProtocol, Protocol, Rank, RankingProtocol,
-    Scenario,
+    Configuration, CountProtocol, InternableProtocol, InternedKeys, LeaderElectionProtocol,
+    Protocol, Rank, RankingProtocol, Scenario,
 };
 use rand::{Rng, RngCore};
 
@@ -269,10 +269,11 @@ impl SublinearTimeSsr {
     /// space is not statically enumerable (names × history trees), so these
     /// families run on the exact engine ([`ppsim::Simulation`]) or on the
     /// batched engine's dynamically interned backend
-    /// ([`ppsim::InternedSimulation`], via
-    /// [`ppsim::Engine::run_until_interned`]) — the protocol implements
-    /// [`InternableProtocol`], and the cross-engine equivalence suite holds
-    /// both routes to the same verdicts and time distributions.
+    /// ([`ppsim::InternedSimulation`], via [`ppsim::Engine::run_until`] or
+    /// [`ppsim::RunSpec`]) — the protocol implements [`InternableProtocol`]
+    /// and names [`InternedKeys`] as its [`CountProtocol::Keys`], and the
+    /// cross-engine equivalence suite holds both routes to the same verdicts
+    /// and time distributions.
     pub fn adversarial_scenarios() -> Vec<Scenario<Self>> {
         vec![
             Scenario::new("collision-2way", |p: &Self, rng| {
@@ -412,6 +413,12 @@ impl InternableProtocol for SublinearTimeSsr {
         // intern new ones.
         2 * self.params.n
     }
+}
+
+/// Names × history trees cannot be enumerated, so the count engine keys
+/// them by interning.
+impl CountProtocol for SublinearTimeSsr {
+    type Keys = InternedKeys<Self>;
 }
 
 impl SublinearTimeSsr {

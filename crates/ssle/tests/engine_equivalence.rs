@@ -133,7 +133,7 @@ proptest! {
             .budget(BUDGET)
             .init(init)
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
 
         prop_assert!(batched.outcome.is_silent());
@@ -259,7 +259,7 @@ proptest! {
             .budget(BUDGET)
             .init(init)
             .seed(seed)
-            .run_one_interned()
+            .run_one()
             .unwrap();
 
         prop_assert_eq!(exact.outcome.reason, interned.outcome.reason);
@@ -431,7 +431,7 @@ fn mean_stabilization_times_match_on_the_interned_backend() {
                 .budget(BUDGET)
                 .init(config)
                 .seed(s)
-                .run_one_interned()
+                .run_one()
                 .unwrap();
             assert!(report.outcome.is_silent());
             report.parallel_time().value()
@@ -520,8 +520,8 @@ fn sublinear_scenarios_converge_equivalently_on_both_engines() {
             run_trials(&TrialPlan::new(trials, seed), |_, s| {
                 let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, h));
                 let config = scenario.configuration(&protocol, s);
-                let report = engine
-                    .run_until_interned(protocol, &config, s, budget, |c| protocol.is_correct(c));
+                let report =
+                    engine.run_until(protocol, &config, s, budget, |c| protocol.is_correct(c));
                 assert!(
                     report.outcome.condition_met(),
                     "scenario {:?} failed to converge on {engine}",
@@ -597,13 +597,8 @@ fn merged_collision_detection_times_match_across_engines() {
             let protocol = SublinearTimeSsr::new(SublinearParams::recommended(n, 0));
             let mut rng = ChaCha8Rng::seed_from_u64(s ^ 0x11AD);
             let config = protocol.merged_collision_configuration(2, &mut rng);
-            let report = engine.run_until_interned(
-                protocol,
-                &config,
-                s,
-                budget,
-                SublinearTimeSsr::any_resetting,
-            );
+            let report =
+                engine.run_until(protocol, &config, s, budget, SublinearTimeSsr::any_resetting);
             assert!(report.outcome.condition_met(), "collision was never detected on {engine}");
             report.parallel_time().value()
         })
@@ -690,7 +685,7 @@ fn mean_fault_recovery_times_match_across_engines() {
                     .init(init)
                     .seed(s)
                     .faults(plan.clone())
-                    .run_one_interned()
+                    .run_one()
                     .unwrap()
             } else {
                 RunSpec::new(protocol)

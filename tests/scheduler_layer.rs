@@ -107,7 +107,7 @@ fn uniform_scheduler_is_trajectory_preserving_on_every_engine() {
                     .budget(BUDGET)
                     .init(init.clone())
                     .seed(*seed)
-                    .run_one_interned()
+                    .run_one()
                     .unwrap()
             } else {
                 RunSpec::new(frat)
@@ -194,7 +194,7 @@ fn weighted_silence_distributions_agree_across_all_four_backends() {
                             .scheduler(scheduler.clone())
                             .init(init.clone())
                             .seed(seed)
-                            .run_one_interned()
+                            .run_one()
                             .unwrap()
                             .outcome
                     }
